@@ -3,8 +3,10 @@
 Three suites, each writing one committed JSON baseline:
 
 * ``mesh`` — batched ``decode_arrays`` shots/s at d in {7, 9, 11} for
-  both stepping backends (``reference`` vs the ``repro.perf`` fast
-  engine) -> ``benchmarks/BENCH_mesh_throughput.json``;
+  all three stepping backends (``reference``, the numpy ``fast`` engine
+  and the ``native`` C kernel) -> ``benchmarks/BENCH_mesh_throughput.json``,
+  plus a cProfile top-10 of one Fig. 10 d = 9 cell on the default
+  engine -> ``benchmarks/PROFILE_mesh_d9.txt``;
 * ``decoders`` — the software comparison decoders (union-find, MWPM,
   greedy, lookup): per-shot ``decode()`` loop vs the vectorized
   ``decode_batch`` fast paths, same protocol as the mesh suite ->
@@ -78,6 +80,7 @@ import numpy as np
 
 BENCH_DIR = Path(__file__).resolve().parent
 DEFAULT_OUT = BENCH_DIR / "BENCH_mesh_throughput.json"
+PROFILE_OUT = BENCH_DIR / "PROFILE_mesh_d9.txt"
 DECODER_OUT = BENCH_DIR / "BENCH_decoder_throughput.json"
 MACHINE_OUT = BENCH_DIR / "BENCH_machine_runtime.json"
 ADAPTIVE_OUT = BENCH_DIR / "BENCH_adaptive_sampling.json"
@@ -122,10 +125,13 @@ def run_benchmark(shots: int = 2048, p: float = 0.05, seed: int = 2020,
         syndromes = lattice.syndrome_of_z_errors(sample.z)
         before = _measure(decoder, syndromes, "reference", reps)
         after = _measure(decoder, syndromes, "fast", reps)
+        native = _measure(decoder, syndromes, "native", reps)
         entries[f"d{d}"] = {
             "before_reference_shots_per_s": round(before, 1),
             "after_fast_shots_per_s": round(after, 1),
             "speedup": round(after / before, 2),
+            "native_shots_per_s": round(native, 1),
+            "native_speedup": round(native / before, 2),
         }
     return {
         "benchmark": "mesh_decode_arrays_throughput",
@@ -141,6 +147,48 @@ def run_benchmark(shots: int = 2048, p: float = 0.05, seed: int = 2020,
         "machine": platform.machine(),
         "entries": entries,
     }
+
+
+def profile_d9_cell(trials: int = 2000, p: float = 0.05, seed: int = 2020,
+                    top: int = 10) -> str:
+    """cProfile top-``top`` functions of one Fig. 10 d = 9 cell.
+
+    The cell is ``run_trials`` on the final mesh design with the default
+    engine, exactly as a threshold sweep runs it.
+    """
+    import cProfile
+    import io
+    import pstats
+
+    from repro.decoders import sfq_mesh
+    from repro.montecarlo.trial import run_trials
+    from repro.noise.models import DephasingChannel
+    from repro.surface.lattice import SurfaceLattice
+
+    lattice = SurfaceLattice(9)
+    decoder = sfq_mesh.SFQMeshDecoder(lattice)
+    model = DephasingChannel()
+    run_trials(lattice, decoder, model, p, 64, np.random.default_rng(0))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = run_trials(
+        lattice, decoder, model, p, trials, np.random.default_rng(seed)
+    )
+    profiler.disable()
+    text = io.StringIO()
+    stats = pstats.Stats(profiler, stream=text).strip_dirs()
+    stats.sort_stats("tottime").print_stats(top)
+    body = "\n".join(
+        line.rstrip() for line in text.getvalue().splitlines()
+        if line.strip() and not line.lstrip().startswith("Ordered by")
+    )
+    return (
+        f"# cProfile top-{top} by own time: one Fig. 10 d=9 cell, "
+        f"run_trials(final mesh, dephasing p={p}, {trials} shots, "
+        f"seed {seed}), engine {result.engine}, "
+        f"{platform.machine()}, recorded {date.today().isoformat()}\n"
+        f"{body}\n"
+    )
 
 
 def run_decoder_benchmark(shots: int = 2048, p: float = 0.05,
@@ -605,7 +653,9 @@ def main(argv=None) -> int:
                 f"{name}: reference "
                 f"{entry['before_reference_shots_per_s']:>8.1f} shots/s -> "
                 f"fast {entry['after_fast_shots_per_s']:>8.1f} shots/s "
-                f"({entry['speedup']:.2f}x)"
+                f"({entry['speedup']:.2f}x) -> "
+                f"native {entry['native_shots_per_s']:>8.1f} shots/s "
+                f"({entry['native_speedup']:.2f}x)"
             )
         if args.check is not None:
             failing = {
@@ -620,6 +670,8 @@ def main(argv=None) -> int:
             return 0
         args.out.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {args.out}")
+        PROFILE_OUT.write_text(profile_d9_cell())
+        print(f"wrote {PROFILE_OUT}")
 
     if args.suite in ("decoders", "all") and args.check is None:
         record = run_decoder_benchmark(

@@ -87,15 +87,19 @@ class MatchingGeometry:
     def syndrome_of_errors(self, errors: np.ndarray) -> np.ndarray:
         """Syndrome bits of an error vector or ``(batch, n_data)`` array.
 
-        Uses the cached :attr:`parity_map` operator (one contiguous
-        array shared by the error check and the correction check) with a
-        float32 BLAS matmul; row weights are <= 4 so the float path is
-        exact and the result is returned as uint8, matching the direct
-        GF(2) incidence product bit-for-bit.
+        A gather-XOR over the cached :attr:`check_support` table (row
+        weights are <= 4), returned as uint8.  It matches the GF(2)
+        incidence product bit for bit and, unlike a BLAS matmul, leaves
+        no BLAS worker threads spinning after each call.
         """
         errors = np.asarray(errors)
-        produced = errors.astype(np.float32, copy=False) @ self.parity_map
-        return produced.astype(np.uint8) & 1
+        support = self.check_support
+        padded = np.zeros(errors.shape[:-1] + (errors.shape[-1] + 1,), np.uint8)
+        padded[..., :-1] = errors
+        out = padded[..., support[:, 0]]
+        for k in range(1, support.shape[1]):
+            out ^= padded[..., support[:, k]]
+        return out & 1
 
     def logical_failure(self, residual: np.ndarray) -> np.ndarray:
         if self.error_type == "z":
@@ -134,15 +138,20 @@ class MatchingGeometry:
     # Cached integer arrays (shared by every batched decode fast path)
     # ------------------------------------------------------------------
     @functools.cached_property
-    def parity_map(self) -> np.ndarray:
-        """Contiguous ``(n_data, n_syndromes)`` float32 parity operator.
+    def check_support(self) -> np.ndarray:
+        """``(n_syndromes, max_row_weight)`` data-qubit indices per check.
 
-        The transpose of the relevant incidence matrix, precomputed once
-        per geometry so that both the error-syndrome computation and the
-        correction-syndrome check share one BLAS-friendly operand.
+        Rows of the relevant incidence matrix as index lists, padded with
+        ``n_data``: :meth:`syndrome_of_errors` appends a zero column at
+        that index, so padding slots contribute nothing.
         """
         h = self.lattice.h_x if self.error_type == "z" else self.lattice.h_z
-        return np.ascontiguousarray(h.T, dtype=np.float32)
+        checks, qubits = np.nonzero(h)  # row-major: grouped by check
+        weight = np.bincount(checks, minlength=h.shape[0])
+        slot = np.arange(len(checks)) - np.repeat(np.cumsum(weight) - weight, weight)
+        support = np.full((h.shape[0], weight.max()), h.shape[1])
+        support[checks, slot] = qubits
+        return support
 
     @functools.cached_property
     def ancilla_coords(self) -> np.ndarray:

@@ -49,6 +49,7 @@ design with the request/grant equidistant mechanism.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,11 +68,15 @@ RESET_HOLD = 5
 #: Paper full-circuit latency per mesh cycle, picoseconds (Table III).
 PAPER_CYCLE_TIME_PS = 162.72
 
-#: Batched stepping backend used when none is requested explicitly:
-#: ``"fast"`` is the preallocated bit-packed engine in
-#: :mod:`repro.perf.mesh_engine`; ``"reference"`` is :class:`_MeshState`,
-#: the readable automaton the engine is golden-tested against.
-DEFAULT_ENGINE = "fast"
+#: Batched stepping backend used when none is requested explicitly.
+#: ``"native"`` is the C kernel (:mod:`repro.perf.native`), built on the
+#: first default decode; if it cannot be built this becomes ``"fast"``,
+#: the numpy engine in :mod:`repro.perf.mesh_engine`, with one
+#: RuntimeWarning.  ``"reference"`` is :class:`_MeshState`, the readable
+#: automaton both engines are golden-tested against.
+DEFAULT_ENGINE = "native"
+
+ENGINES = ("native", "fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,8 @@ class MeshBatchResult:
     corrections: np.ndarray  # (batch, n_data) uint8
     cycles: np.ndarray  # (batch,) int64
     converged: np.ndarray  # (batch,) bool
+    #: stepping backend that produced the batch (one of :data:`ENGINES`)
+    engine: Optional[str] = None
 
     def time_ns(self, cycle_time_ps: float) -> np.ndarray:
         return self.cycles * (cycle_time_ps / 1000.0)
@@ -195,8 +202,8 @@ class SFQMeshDecoder(Decoder):
             self._rows + self._cols
         ) + 24
         self._hard_cap = (len(anc) + 2) * (self._watchdog_limit + RESET_HOLD + 4)
-        #: lazily built fast-engine instance (reused across decode calls)
-        self._engine_cache = None
+        #: lazily built engine instances by name (reused across calls)
+        self._engines: dict = {}
 
     def _native_ancillas(self):
         if self.error_type == "z":
@@ -222,6 +229,7 @@ class SFQMeshDecoder(Decoder):
             corrections=batch.corrections,
             converged=batch.converged,
             cycles=batch.cycles,
+            metadata={"engine": batch.engine},
         )
 
     def decode_arrays(
@@ -229,11 +237,12 @@ class SFQMeshDecoder(Decoder):
     ) -> MeshBatchResult:
         """Decode a ``(batch, n_syndromes)`` array of syndromes.
 
-        ``engine`` selects the stepping backend: ``"fast"`` (the
-        preallocated in-place engine, reused across calls), or
-        ``"reference"`` (the readable automaton in :class:`_MeshState`).
-        Both produce identical corrections, cycle counts and convergence
-        flags; ``None`` uses :data:`DEFAULT_ENGINE`.
+        ``engine`` selects the stepping backend: ``"native"`` (the C
+        kernel), ``"fast"`` (the preallocated numpy engine, reused across
+        calls) or ``"reference"`` (the readable automaton in
+        :class:`_MeshState`).  All produce identical corrections, cycle
+        counts and convergence flags; ``None`` uses
+        :data:`DEFAULT_ENGINE`.  The result names the engine that ran.
         """
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if syndromes.ndim != 2 or syndromes.shape[1] != self.geometry.n_syndromes:
@@ -241,37 +250,65 @@ class SFQMeshDecoder(Decoder):
                 f"expected (batch, {self.geometry.n_syndromes}) syndromes, "
                 f"got shape {syndromes.shape}"
             )
+        engine = engine or _default_engine()
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
         total = syndromes.shape[0]
         out_corr = np.zeros((total, self.lattice.n_data), dtype=np.uint8)
         out_cycles = np.zeros(total, dtype=np.int64)
         out_conv = np.ones(total, dtype=bool)
-        engine = engine or DEFAULT_ENGINE
         if engine == "reference":
-            state = _MeshState(self, syndromes)
-            state.run(out_corr, out_cycles, out_conv)
-        elif engine == "fast":
-            self._fast_engine(total).decode(
+            _MeshState(self, syndromes).run(out_corr, out_cycles, out_conv)
+        else:
+            self._engine(engine, total).decode(
                 syndromes, out_corr, out_cycles, out_conv
             )
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'fast' or 'reference'"
-            )
-        return MeshBatchResult(out_corr, out_cycles, out_conv)
+        return MeshBatchResult(out_corr, out_cycles, out_conv, engine)
 
-    def _fast_engine(self, batch: int):
-        """Cached :class:`repro.perf.mesh_engine.FastMeshEngine`."""
-        engine = self._engine_cache
+    def _engine(self, name: str, batch: int):
+        """Cached native or numpy engine bound to this decoder."""
+        engine = self._engines.get(name)
         if engine is None:
-            from ..perf.mesh_engine import FastMeshEngine
+            if name == "native":
+                from ..perf import native
 
-            engine = FastMeshEngine(self, capacity=batch)
-            self._engine_cache = engine
+                lib = native.load_kernel()
+                if lib is None:
+                    raise RuntimeError(
+                        f"native mesh kernel unavailable: {native.build_error()}"
+                    )
+                engine = native.NativeMeshEngine(self, lib)
+            else:
+                from ..perf.mesh_engine import FastMeshEngine
+
+                engine = FastMeshEngine(self, capacity=batch)
+            self._engines[name] = engine
         return engine
 
     def cycles_to_ns(self, cycles: np.ndarray) -> np.ndarray:
         """Convert mesh cycles to nanoseconds at the configured clock."""
         return np.asarray(cycles, dtype=float) * (self.config.cycle_time_ps / 1000.0)
+
+
+def _default_engine() -> str:
+    """Resolve :data:`DEFAULT_ENGINE`, falling back to ``"fast"`` for good
+    (with one RuntimeWarning) the first time the native kernel fails to
+    build or load."""
+    global DEFAULT_ENGINE
+    if DEFAULT_ENGINE == "native":
+        from ..perf import native
+
+        if native.load_kernel() is None:
+            DEFAULT_ENGINE = "fast"
+            warnings.warn(
+                "native mesh kernel unavailable, using the numpy 'fast' "
+                f"engine instead: {native.build_error()}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return DEFAULT_ENGINE
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,7 @@ class StratifiedCell:
     decoder: str
     estimate: StratifiedRateEstimate
     metadata: dict = field(default_factory=dict)
+    engine: Optional[str] = None
 
     @property
     def logical_error_rate(self) -> float:

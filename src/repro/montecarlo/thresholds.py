@@ -106,6 +106,7 @@ class ThresholdSweep:
                         "ci_high": hi,
                         "trials": result.trials,
                         "decoder": result.decoder,
+                        "engine": result.engine,
                     }
                 )
         return rows

@@ -38,6 +38,9 @@ class TrialResult:
     #: shots where the decoder gave up (watchdog)
     nonconverged: int = 0
     metadata: dict = field(default_factory=dict)
+    #: decode backend that ran (mesh decoder: "native", "fast" or
+    #: "reference"; ``None`` for decoders that do not report one)
+    engine: Optional[str] = None
 
     @property
     def logical_error_rate(self) -> float:
@@ -69,6 +72,7 @@ class SampleDecoder:
         self.nonconverged = 0
         self.cycles_chunks: list = []
         self.both_orientations = False
+        self.engines: set = set()
 
     def failures(self, sample) -> np.ndarray:
         """Boolean failure mask for one sample batch (either orientation)."""
@@ -77,6 +81,7 @@ class SampleDecoder:
         )
         self.inconsistent += stats["inconsistent"]
         self.nonconverged += stats["nonconverged"]
+        self.engines.add(stats["engine"])
         if stats["cycles"] is not None:
             self.cycles_chunks.append(stats["cycles"])
         if sample.x.any():
@@ -90,6 +95,7 @@ class SampleDecoder:
             )
             self.inconsistent += x_stats["inconsistent"]
             self.nonconverged += x_stats["nonconverged"]
+            self.engines.add(x_stats["engine"])
             fail = fail | x_fail
         return fail
 
@@ -98,6 +104,11 @@ class SampleDecoder:
         if not self.cycles_chunks:
             return None
         return np.concatenate(self.cycles_chunks)
+
+    @property
+    def engine(self) -> Optional[str]:
+        """The decode backend(s) that ran, ``"+"``-joined if several."""
+        return "+".join(sorted(e for e in self.engines if e)) or None
 
 
 def run_trials(
@@ -137,6 +148,7 @@ def run_trials(
         inconsistent=runner.inconsistent,
         nonconverged=runner.nonconverged,
         metadata={"both_orientations": runner.both_orientations},
+        engine=runner.engine,
     )
 
 
@@ -151,8 +163,8 @@ def _decode_orientation(lattice, decoder, errors, orientation):
 
     Every decoder flows through the batched API (the mesh backend's
     ``decode_arrays`` included); the syndrome computation and the
-    correction-consistency check share the geometry's cached parity
-    operator, so no per-shot Python remains on this path.
+    correction-consistency check share the geometry's cached check
+    support table, so no per-shot Python remains on this path.
     """
     geometry = decoder.geometry
     syndromes = geometry.syndrome_of_errors(errors)
@@ -162,6 +174,7 @@ def _decode_orientation(lattice, decoder, errors, orientation):
         "inconsistent": 0,
         "nonconverged": int(np.sum(~out.converged)),
         "cycles": out.cycles,
+        "engine": out.metadata.get("engine"),
     }
     produced = geometry.syndrome_of_errors(corrections)
     stats["inconsistent"] = int(np.sum(np.any(produced != syndromes, axis=1)))

@@ -1,7 +1,8 @@
 """In-place, bit-packed stepping engine for the SFQ mesh automaton.
 
-This is the hot loop of every Monte-Carlo experiment in the repository.
-It reproduces :class:`repro.decoders.sfq_mesh._MeshState` bit-for-bit
+This is the numpy backend of the mesh decoder: the default engine when
+the native C kernel (:mod:`repro.perf.native`) cannot be built.  It
+reproduces :class:`repro.decoders.sfq_mesh._MeshState` bit-for-bit
 (corrections, cycle counts, convergence flags — enforced by golden
 equivalence tests across all four :class:`MeshConfig` ablation variants)
 while eliminating the reference implementation's per-cycle costs:

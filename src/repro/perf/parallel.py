@@ -25,6 +25,7 @@ per-cell seeding (results stay identical, only the parallelism is lost).
 
 from __future__ import annotations
 
+import functools
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +46,16 @@ def spawn_cell_seeds(
     """One independent child seed per grid cell, in fixed grid order."""
     root = np.random.SeedSequence(seed)
     return root.spawn(n_cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_lattice(d: int) -> SurfaceLattice:
+    """One lattice per distance per process.
+
+    Lattices are immutable, so the cells of a sweep can share one and
+    build its incidence matrices and logical masks once, not per cell.
+    """
+    return SurfaceLattice(d)
 
 
 def _is_picklable(obj) -> bool:
@@ -80,7 +91,7 @@ def _run_sweep_cell(payload) -> Tuple[int, object]:
     from ..montecarlo.trial import run_trials
 
     (cell_index, factory, model, d, p, trials, seedseq, batch_size) = payload
-    lattice = SurfaceLattice(d)
+    lattice = _shared_lattice(d)
     decoder = factory(lattice)
     rng = np.random.default_rng(seedseq)
     result = run_trials(
@@ -136,7 +147,7 @@ def _run_trial_chunk(payload) -> Tuple[int, object]:
     from ..montecarlo.trial import run_trials
 
     (chunk_index, factory, model, d, p, chunk_trials, seedseq, batch) = payload
-    lattice = SurfaceLattice(d)
+    lattice = _shared_lattice(d)
     decoder = factory(lattice)
     rng = np.random.default_rng(seedseq)
     result = run_trials(
@@ -217,6 +228,7 @@ def _merge_trial_results(chunks):
         inconsistent=sum(c.inconsistent for c in chunks),
         nonconverged=sum(c.nonconverged for c in chunks),
         metadata=metadata,
+        engine=first.engine,
     )
 
 

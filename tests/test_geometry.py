@@ -148,3 +148,24 @@ class TestGraphEdges:
         sides = {v[0] for edge in geo.graph_edges() for v in edge
                  if isinstance(v[0], str)}
         assert sides == {NORTH, SOUTH}
+
+
+class TestSyndromeOfErrors:
+    """The gather-XOR syndrome equals the GF(2) incidence product."""
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    @pytest.mark.parametrize("error_type", ["z", "x"])
+    def test_syndrome_matches_incidence_product(self, d, error_type):
+        lattice = SurfaceLattice(d)
+        geo = MatchingGeometry(lattice, error_type)
+        h = lattice.h_x if error_type == "z" else lattice.h_z
+        rng = np.random.default_rng(d)
+        errors = rng.random((64, lattice.n_data)) < 0.15
+        for batch in (errors, errors.astype(np.uint8)):
+            for e in (batch, batch[5]):  # 2-D and 1-D
+                expected = (e.astype(np.int64) @ h.T) % 2
+                got = geo.syndrome_of_errors(e)
+                assert got.dtype == np.uint8
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
