@@ -434,7 +434,6 @@ def run_breaker_drill(requests: int = 300, seed: int = 2020) -> dict:
 
     breaker = CircuitBreaker(BreakerPolicy(
         failure_threshold=5, cooldown_s=0.05,
-        half_open_probes=1, success_threshold=2,
     ))
     guarded, audit = asyncio.run(replay(breaker))
     control, _ = asyncio.run(replay(None))

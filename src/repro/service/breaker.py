@@ -7,16 +7,17 @@ they re-arrive as a thundering herd.  The breaker converts "this
 target keeps failing" into *fast local failure*: after
 ``failure_threshold`` consecutive failures the breaker **opens** and
 callers fail immediately without touching the wire; after
-``cooldown_s`` it goes **half-open** and admits ``half_open_probes``
-trial requests; ``success_threshold`` consecutive probe successes
-close it again, any probe failure re-opens it (with a fresh cooldown).
+``cooldown_s`` it goes **half-open** and admits one trial request at a
+time; ``HALF_OPEN_SUCCESSES`` consecutive probe successes close it
+again, any probe failure re-opens it (with a fresh cooldown).
 
-The same class serves both ends of the stack: the cluster router keeps
-one breaker per replica (a saturated or flapping replica stops being
-dialed), and :meth:`DecodeClient.decode_with_retry` accepts one so a
-load generator's retry loop stops burning attempts against a fleet
-that is down — that is what bounds ``mean_attempts`` during fleet
-saturation.
+The same class serves both ends of the stack: every cluster replica
+owns one (a saturated or flapping replica stops being dialed), and
+:meth:`DecodeClient.decode_with_retry` accepts one so a load
+generator's retry loop stops burning attempts against a fleet that is
+down — that is what bounds ``mean_attempts`` during fleet saturation.
+Both ends count a reply through :meth:`CircuitBreaker.record`, so they
+agree on which outcomes are failures.
 
 The clock is injectable so tests (and deterministic drills) can drive
 state transitions without sleeping.
@@ -32,6 +33,9 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: consecutive half-open probe successes that close the breaker
+HALF_OPEN_SUCCESSES = 2
+
 
 @dataclass(frozen=True)
 class BreakerPolicy:
@@ -41,20 +45,12 @@ class BreakerPolicy:
     failure_threshold: int = 5
     #: how long the breaker stays open before probing
     cooldown_s: float = 0.25
-    #: concurrent trial requests admitted while half-open
-    half_open_probes: int = 1
-    #: consecutive half-open successes that close the breaker
-    success_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-        if self.success_threshold < 1:
-            raise ValueError("success_threshold must be >= 1")
 
 
 class CircuitBreaker:
@@ -64,54 +60,65 @@ class CircuitBreaker:
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy or BreakerPolicy()
         self._clock = clock
+        self.opens = 0
+        self.fast_fails = 0           # allow() == False events
+        self._opened_at = 0.0
+        self.reset()
+
+    def reset(self) -> None:
+        """Close, forgetting failures and probes (counters survive)."""
         self.state = CLOSED
         self._failures = 0            # consecutive, while closed
         self._successes = 0           # consecutive, while half-open
-        self._opened_at = 0.0
-        self._probes = 0              # in-flight half-open trials
-        self.opens = 0
-        self.fast_fails = 0           # allow() == False events
+        self._probing = False         # the half-open trial is in flight
 
     # -- gate ----------------------------------------------------------
     def allow(self) -> bool:
-        """May a request go out right now?  (Counts half-open probes.)"""
+        """May a request go out right now?  (Takes the half-open probe.)"""
         if self.state == OPEN:
             if self._clock() - self._opened_at >= self.policy.cooldown_s:
-                self.state = HALF_OPEN
-                self._successes = 0
-                self._probes = 0
+                self.state = HALF_OPEN      # _trip() cleared the probe
             else:
                 self.fast_fails += 1
                 return False
         if self.state == HALF_OPEN:
-            if self._probes >= self.policy.half_open_probes:
+            if self._probing:
                 self.fast_fails += 1
                 return False
-            self._probes += 1
+            self._probing = True
         return True
 
     def would_allow(self) -> bool:
         """Non-mutating preview of :meth:`allow`.
 
         Used as a dispatch *filter* (the cluster router skips replicas
-        whose breaker would refuse) without consuming a half-open probe
-        slot or counting a fast-fail for replicas that were never going
-        to be dialed.
+        whose breaker would refuse) without taking the half-open probe
+        or counting a fast-fail for replicas that were never going to
+        be dialed.
         """
         if self.state == OPEN:
             return self._clock() - self._opened_at >= self.policy.cooldown_s
         if self.state == HALF_OPEN:
-            return self._probes < self.policy.half_open_probes
+            return not self._probing
         return True
 
     # -- outcome reporting ---------------------------------------------
+    def record(self, outcome) -> None:
+        """Count one :class:`~repro.service.client.DecodeOutcome`: ``ok``
+        and ``migrated`` (the shard moved; the target answered promptly)
+        are successes, transient rejections and errors failures, and
+        ``too_large`` (the request's fault) does not count."""
+        if outcome.ok or outcome.reason == "migrated":
+            self.record_success()
+        elif outcome.rejected or outcome.reason == "error":
+            self.record_failure()
+
     def record_success(self) -> None:
         if self.state == HALF_OPEN:
-            self._probes = max(0, self._probes - 1)
+            self._probing = False
             self._successes += 1
-            if self._successes >= self.policy.success_threshold:
-                self.state = CLOSED
-                self._failures = 0
+            if self._successes >= HALF_OPEN_SUCCESSES:
+                self.reset()
         elif self.state == CLOSED:
             self._failures = 0
 
@@ -124,12 +131,10 @@ class CircuitBreaker:
                 self._trip()
 
     def _trip(self) -> None:
+        self.reset()
         self.state = OPEN
         self.opens += 1
         self._opened_at = self._clock()
-        self._failures = 0
-        self._successes = 0
-        self._probes = 0
 
     def snapshot(self) -> dict:
         return {

@@ -13,7 +13,7 @@ nothing shed), it upgrades back one step at a time.
 Both directions are gated by dwell counts (``dwell_down`` consecutive
 hot ticks to downgrade, ``dwell_up`` cool ticks to upgrade), so a noisy
 ``f_ratio`` cannot make the tier flap — the same hysteresis shape the
-cluster's heartbeat recovery uses (``recovery_pings``).
+cluster's heartbeat recovery uses (``RECOVERY_PINGS``).
 
 Every reply carries the tier that actually decoded it, the per-tier
 shot counts land in telemetry (the accuracy cost is *visible*, never
@@ -113,7 +113,9 @@ class BrownoutController:
             shard = ShardKey.parse(wire)
             if shard.decoder not in self.policy.tiers:
                 continue
-            shed = stats.shots_rejected + stats.shots_expired
+            # migration extractions are re-dispatched, not shed load
+            shed = (sum(stats.shed_by_cause.values())
+                    - stats.shed_by_cause["migrated"])
             shed_delta = shed - self._last_shed.get(wire, 0)
             self._last_shed[wire] = shed
             arrivals_delta = (

@@ -295,7 +295,8 @@ class DecodeClient:
         outcome = await self.decode(
             shard, syndromes, remaining_us(), tenant, priority
         )
-        self._feed_breaker(breaker, outcome)
+        if breaker is not None:
+            breaker.record(outcome)
         attempt = 0
         spent_us = 0.0
         while outcome.rejected and attempt + 1 < policy.max_attempts:
@@ -315,19 +316,11 @@ class DecodeClient:
             outcome = await self.decode(
                 shard, syndromes, remaining_us(), tenant, priority
             )
-            self._feed_breaker(breaker, outcome)
+            if breaker is not None:
+                breaker.record(outcome)
             attempt += 1
         outcome.metadata["attempts"] = attempt + 1
         return outcome
-
-    @staticmethod
-    def _feed_breaker(breaker, outcome: DecodeOutcome) -> None:
-        if breaker is None:
-            return
-        if outcome.ok:
-            breaker.record_success()
-        elif outcome.rejected or outcome.reason == "error":
-            breaker.record_failure()
 
     async def ping(self, timeout_s: Optional[float] = None) -> float:
         """Round-trip a ping; returns the latency in seconds.

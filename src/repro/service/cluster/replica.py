@@ -1,15 +1,20 @@
-"""One decode server behind the cluster router.
+"""One decode server behind the cluster router, and its health.
 
 A :class:`Replica` bundles a backend — an in-process
 :class:`~repro.service.server.DecodeService` (the default; same framed
 protocol bytes as TCP) or a remote ``host:port`` — with the router's
 view of it: a multiplexing :class:`~repro.service.client.DecodeClient`,
-a health state machine (``up -> suspect -> down`` on missed
-heartbeats, ``draining`` on scale-down), an in-flight counter for
-least-loaded dispatch, and an optional
+an in-flight counter for least-loaded dispatch, an optional
 :class:`~repro.service.cluster.faults.FaultInjector` standing between
 the service and every connection so the chaos harness can kill, hang
-or degrade the replica mid-run.
+or degrade the replica mid-run, and its health — this module is the
+only place that knows it.  Misses (heartbeats or request timeouts)
+demote ``up -> suspect -> down`` (``MISSES_DOWN`` in a row confirm
+down; a dead connection is down at once), a suspect needs
+``RECOVERY_PINGS`` good pings in a row to be ``up`` again, and an
+optional :class:`~repro.service.breaker.CircuitBreaker` counts every
+reply.  The router reports each event through one ``record*`` call and
+acts only on the answer: leave the hash ring, or rejoin it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import asyncio
 import contextlib
 from typing import Optional
 
-from ..breaker import CircuitBreaker
-from ..client import DecodeClient
+from ..breaker import BreakerPolicy, CircuitBreaker
+from ..client import DecodeClient, DecodeOutcome
 from ..server import DecodeService
 from .faults import FaultInjector
 
@@ -28,6 +33,13 @@ UP = "up"
 SUSPECT = "suspect"
 DRAINING = "draining"
 DOWN = "down"
+
+#: consecutive misses (heartbeats or request timeouts) that confirm a
+#: suspect replica down
+MISSES_DOWN = 2
+#: flap damping: consecutive good pings a suspect needs before it is
+#: promoted back to full-weight dispatch
+RECOVERY_PINGS = 3
 
 
 class Replica:
@@ -39,6 +51,7 @@ class Replica:
         service: Optional[DecodeService] = None,
         address: Optional[tuple] = None,
         injector: Optional[FaultInjector] = None,
+        breaker: Optional[BreakerPolicy] = None,
     ) -> None:
         if (service is None) == (address is None):
             raise ValueError("pass exactly one of service / address")
@@ -56,11 +69,10 @@ class Replica:
         self.served = 0
         self.failed = 0
         self.restarts = 0
-        #: per-replica circuit breaker, attached by the router when
-        #: :attr:`ClusterPolicy.breaker` is set (None = never fail fast);
-        #: a tripped replica is skipped by dispatch until its cooldown
-        #: probe succeeds
-        self.breaker: Optional[CircuitBreaker] = None
+        #: per-replica circuit breaker (None = never fail fast)
+        self.breaker: Optional[CircuitBreaker] = (
+            CircuitBreaker(breaker) if breaker is not None else None
+        )
         self._client: Optional[DecodeClient] = None
 
     # -- connection -----------------------------------------------------
@@ -89,25 +101,39 @@ class Replica:
     def adopt_address(self, address: tuple) -> None:
         """Point this replica at a restarted process's new ``(host,
         port)`` (supervisor restarts bind a fresh ephemeral port).  The
-        stale connection is dropped; the replica re-enters the ring as a
-        suspect and must earn its way back to ``up`` through the
-        flap-damping streak like any other recovering server."""
+        stale connection is dropped and the health history forgotten;
+        the replica re-enters as a suspect and must earn its way back
+        to ``up`` through the flap-damping streak like any other
+        recovering server."""
         if self.service is not None:
             raise ValueError("adopt_address is for remote replicas only")
         self.address = address
         self.drop_client()
         self.restarts += 1
-        self.heartbeat_misses = 0
-        self.recovery_streak = 0
-        if self.state != DRAINING:
-            self.state = SUSPECT
+        self.reset(DRAINING if self.state == DRAINING else SUSPECT)
 
-    # -- health ---------------------------------------------------------
+    # -- health: state --------------------------------------------------
     @property
     def available(self) -> bool:
-        """Eligible for dispatch (suspects still serve until confirmed
+        """Alive for dispatch (suspects still serve until confirmed
         down — a slow replica is better than a lost request)."""
         return self.state in (UP, SUSPECT)
+
+    @property
+    def dispatchable(self) -> bool:
+        """Available, and the breaker would allow (takes no probe)."""
+        return self.available and (
+            self.breaker is None or self.breaker.would_allow()
+        )
+
+    def reset(self, state: str = UP) -> None:
+        """Forget misses, the recovery streak and an open breaker, and
+        enter ``state`` (``up`` on revive)."""
+        self.state = state
+        self.heartbeat_misses = 0
+        self.recovery_streak = 0
+        if self.breaker is not None:
+            self.breaker.reset()
 
     def mark_up(self) -> None:
         if self.state in (UP, SUSPECT):
@@ -124,22 +150,69 @@ class Replica:
             self.state = DOWN
         self.recovery_streak = 0
 
-    def on_ping_ok(self, needed: int) -> None:
+    def _miss(self) -> bool:
+        """True when this miss confirms the replica down."""
+        self.heartbeat_misses += 1
+        if self.heartbeat_misses >= MISSES_DOWN:
+            self.mark_down()
+            return True
+        self.mark_suspect()
+        return False
+
+    def on_ping_ok(self) -> None:
         """Record a heartbeat success with flap damping.
 
-        A replica in ``suspect`` needs ``needed`` *consecutive*
+        A replica in ``suspect`` needs ``RECOVERY_PINGS`` *consecutive*
         successful pings before being promoted back to ``up`` — one
         lucky ping from a flapping server must not ping-pong full-weight
-        dispatch back onto it.  Any miss resets the streak (via
-        :meth:`mark_suspect` / :meth:`mark_down`).
+        dispatch back onto it.  Any miss resets the streak.
         """
         self.heartbeat_misses = 0
-        if self.state == UP:
-            return
         if self.state == SUSPECT:
             self.recovery_streak += 1
-            if self.recovery_streak >= max(needed, 1):
+            if self.recovery_streak >= RECOVERY_PINGS:
                 self.mark_up()
+
+    # -- health: events -------------------------------------------------
+    def acquire(self) -> bool:
+        """Claim dispatch (takes the breaker's half-open probe)."""
+        return self.breaker is None or self.breaker.allow()
+
+    def record(self, outcome: DecodeOutcome) -> bool:
+        """The replica answered; a reply never takes it down (False)."""
+        if outcome.ok:
+            self.served += 1
+        if self.breaker is not None:
+            self.breaker.record(outcome)
+        return False
+
+    def record_timeout(self) -> bool:
+        """A request timed out: a miss.  True when it went down."""
+        self._fail()
+        return self._miss()
+
+    def record_dead(self) -> bool:
+        """The connection died under a request: down now (True)."""
+        self._fail()
+        self.drop_client()
+        self.mark_down()
+        return True
+
+    def _fail(self) -> None:
+        self.failed += 1
+        if self.breaker is not None:
+            self.breaker.record_failure()
+
+    def record_ping(self, ok: bool) -> Optional[str]:
+        """One heartbeat result -> the ring transition: ``DOWN`` (leave
+        the ring), ``UP`` (belongs in it) or None (no change)."""
+        if not ok:
+            if self._miss():
+                self.drop_client()
+                return DOWN
+            return None
+        self.on_ping_ok()
+        return UP if self.state == UP else None
 
     async def heartbeat(self, timeout_s: float) -> float:
         """Ping the replica; returns latency.  Raises on miss."""

@@ -3,12 +3,14 @@
 A :class:`DecodeCluster` consistent-hashes every geometry shard key
 ``(kind, distance, orientation)`` onto a preference list of
 ``replication`` servers (:mod:`.hashring`) and dispatches each request
-to the least-loaded available one.  Liveness is heartbeat-driven
-(``ping`` every ``heartbeat_interval_s``; misses demote ``up ->
-suspect -> down`` and drop the server from the ring, which *is* the
-failover at routing level — the shard's keys slide to the next server
-clockwise).  A request that hits a dead or wedged replica fails over
-to the next candidate under one attempt budget, transient rejections
+to the least-loaded dispatchable one.  Replica health lives in
+:mod:`.replica`: the router pings every replica each
+``heartbeat_interval_s`` and reports each ping and each request
+outcome to it, one call per event, and the answer says whether the
+replica leaves the ring (confirmed down — which *is* the failover at
+routing level: the shard's keys slide to the next server clockwise)
+or rejoins it.  A request that hits a dead or wedged replica fails
+over to the next candidate under one attempt budget, transient rejections
 (backpressure / draining) back off per
 :class:`~repro.service.client.RetryPolicy`, and when every replica is
 gone the router decodes locally — the cluster-level version of the
@@ -37,9 +39,8 @@ from typing import Callable, Dict, List, Optional, Set, Union
 
 import numpy as np
 
-from ...decoders import DECODER_REGISTRY
 from ..admission import AdmissionController, AdmissionPolicy
-from ..breaker import BreakerPolicy, CircuitBreaker
+from ..breaker import BreakerPolicy
 from ..client import DecodeClient, DecodeOutcome, RetryPolicy, ServiceClosedError
 from ..pool import DecoderPool
 from ..protocol import (
@@ -51,14 +52,19 @@ from ..protocol import (
     reject_reply,
     result_reply,
     stats_reply,
-    unpack_bitmap,
 )
-from ..server import MAX_DISTANCE, DecodeService
+from ..server import (
+    DecodeService,
+    _admitted_deadline,
+    _admitted_shard,
+    _admitted_syndromes,
+    _admitted_tenant,
+)
 from .faults import FaultInjector
 from .hashring import HashRing
 from .journal import JournalReplayReport, RequestJournal, reply_digest
 from .migration import MigrationReport, ShardMigration
-from .replica import DOWN, DRAINING, SUSPECT, UP, Replica
+from .replica import DOWN, UP, Replica
 from .telemetry import ClusterTelemetry
 
 
@@ -122,16 +128,12 @@ class ClusterPolicy:
     vnodes: int = 32
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 0.5
-    heartbeat_misses_down: int = 2
     #: per-attempt client-side budget; a hung replica costs this long
     request_timeout_s: float = 2.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: decode locally when every replica has failed (zero-lost mode)
     fallback: bool = True
     autoscale: Optional[AutoscalePolicy] = None
-    #: flap damping: consecutive heartbeat successes a suspect replica
-    #: needs before it is promoted back to full-weight dispatch
-    recovery_pings: int = 3
     #: dual-write window of a live migration (target warm-up under
     #: real traffic before the ownership flip)
     migration_catchup_s: float = 0.05
@@ -148,8 +150,6 @@ class ClusterPolicy:
             raise ValueError("heartbeat periods must be > 0")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if self.recovery_pings < 1:
-            raise ValueError("recovery_pings must be >= 1")
         if self.migration_catchup_s < 0:
             raise ValueError("migration_catchup_s must be >= 0")
 
@@ -212,9 +212,8 @@ class DecodeCluster:
             name,
             service=self._service_factory(),
             injector=FaultInjector(),
+            breaker=self.policy.breaker,
         )
-        if self.policy.breaker is not None:
-            replica.breaker = CircuitBreaker(self.policy.breaker)
         self._replicas[name] = replica
         self._ring.add(name)
         return replica
@@ -224,9 +223,8 @@ class DecodeCluster:
         ``(host, port)`` (the supervisor's registration path)."""
         if name in self._replicas:
             raise ValueError(f"replica {name!r} already exists")
-        replica = Replica(name, address=(address[0], int(address[1])))
-        if self.policy.breaker is not None:
-            replica.breaker = CircuitBreaker(self.policy.breaker)
+        replica = Replica(name, address=(address[0], int(address[1])),
+                          breaker=self.policy.breaker)
         self._replicas[name] = replica
         self._ring.add(name)
         return replica
@@ -260,8 +258,7 @@ class DecodeCluster:
         replica = self._replicas[name]
         if replica.injector is not None and replica.injector.killed:
             raise ValueError(f"replica {name!r} was killed; dead stays dead")
-        replica.state = UP
-        replica.heartbeat_misses = 0
+        replica.reset()
         if name not in self._ring:
             self._ring.add(name)
 
@@ -363,30 +360,23 @@ class DecodeCluster:
     # -- dispatch -------------------------------------------------------
     def _pick(self, shard: ShardKey,
               avoid: Optional[str] = None) -> Optional[Replica]:
-        """Least-loaded available replica from the preference list,
-        extending clockwise past it when the whole list is sick.
+        """Least-loaded :attr:`~Replica.dispatchable` replica from the
+        preference list, extending clockwise past it when the whole list
+        is sick.  When every breaker in the fleet is open the pick fails
+        and the caller falls through to the local decode fallback —
+        fast local failure is exactly what an open breaker promises.
 
         ``avoid`` skips the replica a failed attempt just used, so an
         immediate failover lands elsewhere even before the heartbeat
         confirms the death (it remains a last resort if it is the only
         candidate left).  Suspects sort after confirmed-up replicas —
         the dispatch half of flap damping: a recovering server earns
-        its ping streak before full-weight traffic returns.
-
-        A replica whose circuit breaker would refuse the call is
-        filtered out too (without consuming a half-open probe); when
-        every breaker in the fleet is open, the pick fails and the
-        caller falls through to the local decode fallback — fast local
-        failure is exactly what an open breaker promises."""
+        its ping streak before full-weight traffic returns."""
         preferred = self.preference_list(shard)
         for candidates in (preferred, self.replicas):
-            live = [r for r in candidates if r.available]
+            live = [r for r in candidates if r.dispatchable]
             if avoid is not None and len(live) > 1:
                 live = [r for r in live if r.name != avoid]
-            live = [
-                r for r in live
-                if r.breaker is None or r.breaker.would_allow()
-            ]
             if live:
                 # ties on inflight resolve in preference order, so an
                 # idle fleet serves each shard from its ring primary
@@ -464,14 +454,18 @@ class DecodeCluster:
                 return None
             return (deadline_at - time.monotonic()) * 1e6
 
-        def shed_dead(attempts: int, failovers: int) -> DecodeOutcome:
+        def finish(outcome: DecodeOutcome, **meta) -> DecodeOutcome:
+            outcome.metadata.update(
+                attempts=attempts, failovers=failovers, **meta
+            )
+            self.telemetry.on_outcome(outcome.ok, time.monotonic() - started)
+            return outcome
+
+        def shed_dead() -> DecodeOutcome:
             # the deadline lapsed inside the routing tier: shed here —
             # a dead request must never burn a decode anywhere
             self.telemetry.deadline_shed += 1
-            outcome = DecodeOutcome(ok=False, reason="deadline")
-            outcome.metadata.update(attempts=attempts, failovers=failovers)
-            self.telemetry.on_outcome(False, time.monotonic() - started)
-            return outcome
+            return finish(DecodeOutcome(ok=False, reason="deadline"))
 
         attempts = 0
         failovers = 0
@@ -480,15 +474,14 @@ class DecodeCluster:
         while attempts < policy.retry.max_attempts:
             left = remaining_us()
             if left is not None and left <= 0:
-                return shed_dead(attempts, failovers)
+                return shed_dead()
             replica = self._pick(shard, avoid=avoid)
             if replica is None:
                 break
             attempts += 1
-            breaker = replica.breaker
-            if breaker is not None and not breaker.allow():
-                # a concurrent request raced us into the last half-open
-                # probe slot: treat like a failed attempt elsewhere
+            if not replica.acquire():
+                # a concurrent request raced us into the half-open
+                # probe: treat like a failed attempt elsewhere
                 avoid = replica.name
                 continue
             replica.inflight += 1
@@ -505,68 +498,38 @@ class DecodeCluster:
                 self.telemetry.timeouts += 1
                 self.telemetry.failovers += 1
                 failovers += 1
-                replica.failed += 1
-                replica.heartbeat_misses += 1
-                if breaker is not None:
-                    breaker.record_failure()
-                if replica.heartbeat_misses >= policy.heartbeat_misses_down:
-                    replica.mark_down()
+                if replica.record_timeout():
                     self._retire_from_ring(replica.name)
-                else:
-                    replica.mark_suspect()
                 avoid = replica.name
                 continue
             except (ServiceClosedError, ConnectionError, OSError):
                 # the replica died under the request: fail over
                 self.telemetry.failovers += 1
                 failovers += 1
-                replica.failed += 1
-                if breaker is not None:
-                    breaker.record_failure()
-                replica.drop_client()
-                replica.mark_down()
-                self._retire_from_ring(replica.name)
+                if replica.record_dead():
+                    self._retire_from_ring(replica.name)
                 avoid = replica.name
                 continue
             finally:
                 replica.inflight -= 1
+            replica.record(outcome)
             if outcome.ok:
-                replica.served += 1
-                if breaker is not None:
-                    breaker.record_success()
-                outcome.metadata.update(
-                    replica=replica.name, attempts=attempts,
-                    failovers=failovers, fallback=False,
-                )
-                self.telemetry.on_outcome(True, time.monotonic() - started)
-                return outcome
+                return finish(outcome, replica=replica.name, fallback=False)
             if outcome.reason == "migrated":
                 # the shard's ownership flipped out from under the
                 # queue: the new owner is ready *now*, so re-dispatch
                 # with no backoff (and don't count it as pressure; the
                 # replica answered promptly — not a breaker failure)
-                if breaker is not None:
-                    breaker.record_success()
                 self.telemetry.migrated_retries += 1
                 avoid = replica.name
                 continue
             if outcome.reason == "deadline":
                 # the server shed it as expired: it is expired here too,
                 # and retrying cannot resurrect it
-                if breaker is not None:
-                    breaker.record_failure()
                 self.telemetry.deadline_shed += 1
-                outcome.metadata.update(
-                    replica=replica.name, attempts=attempts,
-                    failovers=failovers, fallback=False,
-                )
-                self.telemetry.on_outcome(False, time.monotonic() - started)
-                return outcome
+                return finish(outcome, replica=replica.name, fallback=False)
             if outcome.rejected:
-                if breaker is not None:
-                    # backpressure / quota / draining: saturation is
-                    # exactly what the breaker exists to stop hammering
-                    breaker.record_failure()
+                # backpressure / quota / draining: back off, go elsewhere
                 self.telemetry.retries += 1
                 self._rejects_last_tick += 1
                 last_outcome = outcome
@@ -575,25 +538,18 @@ class DecodeCluster:
                 )
                 left = remaining_us()
                 if left is not None and wait_us >= left:
-                    return shed_dead(attempts, failovers)
+                    return shed_dead()
                 if wait_us > 0:
                     await asyncio.sleep(wait_us / 1e6)
                 avoid = replica.name
                 continue
             # permanent (too_large / error): no point retrying
-            if breaker is not None and outcome.reason == "error":
-                breaker.record_failure()
-            outcome.metadata.update(
-                replica=replica.name, attempts=attempts,
-                failovers=failovers, fallback=False,
-            )
-            self.telemetry.on_outcome(False, time.monotonic() - started)
-            return outcome
+            return finish(outcome, replica=replica.name, fallback=False)
         # replicas exhausted -> the machine-runtime fallback semantics
         if policy.fallback:
             left = remaining_us()
             if left is not None and left <= 0:
-                return shed_dead(attempts, failovers)
+                return shed_dead()
             result = await self._local_pool.decode_async(shard, syndromes)
             self.telemetry.fallback_decodes += 1
             outcome = DecodeOutcome(
@@ -602,20 +558,12 @@ class DecodeCluster:
                 converged=np.asarray(result.converged, dtype=bool),
                 cycles=result.cycles,
                 latency_us=(time.monotonic() - started) * 1e6,
-                metadata={
-                    "replica": None, "attempts": attempts,
-                    "failovers": failovers, "fallback": True,
-                },
             )
-            self.telemetry.on_outcome(True, time.monotonic() - started)
-            return outcome
-        outcome = last_outcome or DecodeOutcome(
+            return finish(outcome, replica=None, fallback=True)
+        return finish(last_outcome or DecodeOutcome(
             ok=False, reason="unavailable",
             error="no replica available and fallback disabled",
-        )
-        outcome.metadata.update(attempts=attempts, failovers=failovers)
-        self.telemetry.on_outcome(False, time.monotonic() - started)
-        return outcome
+        ))
 
     # -- background loops ----------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -623,28 +571,18 @@ class DecodeCluster:
         while True:
             await asyncio.sleep(policy.heartbeat_interval_s)
             for replica in list(self._replicas.values()):
-                if replica.state in (DOWN, DRAINING):
+                if not replica.available:
                     continue
                 try:
                     await replica.heartbeat(policy.heartbeat_timeout_s)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    replica.heartbeat_misses += 1
-                    if (replica.heartbeat_misses
-                            >= policy.heartbeat_misses_down):
-                        replica.mark_down()
-                        self._retire_from_ring(replica.name)
-                        replica.drop_client()
-                    else:
-                        replica.mark_suspect()
-                else:
-                    # flap damping: a suspect needs recovery_pings
-                    # consecutive successes before full-weight routing
-                    replica.on_ping_ok(policy.recovery_pings)
-                    if (replica.state == UP
-                            and replica.name not in self._ring):
-                        self._ring.add(replica.name)
+                    ok = True
+                except Exception:        # cancellation still propagates
+                    ok = False
+                transition = replica.record_ping(ok)
+                if transition == DOWN:
+                    self._retire_from_ring(replica.name)
+                elif transition == UP and replica.name not in self._ring:
+                    self._ring.add(replica.name)
 
     async def _autoscale_loop(self) -> None:
         autoscale = self.policy.autoscale
@@ -917,32 +855,12 @@ class ClusterFrontend:
             raise ProtocolError(f"unknown message type {kind!r}")
         if not isinstance(request_id, int):
             raise ProtocolError("decode request needs an integer 'id'")
-        shard = ShardKey.parse(message.get("shard", ""))
-        if shard.decoder not in DECODER_REGISTRY:
-            known = ", ".join(sorted(DECODER_REGISTRY))
-            raise ProtocolError(
-                f"unknown decoder kind {shard.decoder!r}; known: {known}"
-            )
-        if shard.distance > MAX_DISTANCE:
-            raise ProtocolError(
-                f"distance {shard.distance} exceeds the service cap "
-                f"{MAX_DISTANCE}"
-            )
-        syndromes = unpack_bitmap(message.get("syndromes", {}))
-        if syndromes.ndim != 2:
-            raise ProtocolError(
-                f"syndromes must be 2-D (shots, bits), got {syndromes.shape}"
-            )
-        expected = self.cluster.n_syndromes(shard)
-        if syndromes.shape[1] != expected:
-            raise ProtocolError(
-                f"shard {shard.wire()} wants {expected} syndrome bits per "
-                f"shot, got {syndromes.shape[1]}"
-            )
-        if syndromes.shape[0] == 0:
-            raise ProtocolError("empty decode request (0 shots)")
-        tenant, priority = DecodeService._admitted_tenant(message)
-        deadline_us = DecodeService._admitted_deadline(message)
+        shard = _admitted_shard(message)
+        tenant, priority = _admitted_tenant(message)
+        deadline_us = _admitted_deadline(message)
+        syndromes = _admitted_syndromes(
+            shard, message.get("syndromes", {}), self.cluster.n_syndromes
+        )
         if self.admission is not None:
             wait_us = self.admission.admit(tenant, syndromes.shape[0])
             if wait_us is not None:

@@ -58,6 +58,78 @@ MAX_TENANT_CHARS = 64
 PRIORITY_BAND = 8
 
 
+def _admitted_shard(message: dict) -> ShardKey:
+    """Parse + admission-validate a message's shard key.
+
+    Every unique shard key creates state (lattice cache, worker task,
+    telemetry), so bogus kinds must fail here, not as an opaque decode
+    error after the leak.
+    """
+    shard = ShardKey.parse(message.get("shard", ""))
+    if shard.decoder not in DECODER_REGISTRY:
+        known = ", ".join(sorted(DECODER_REGISTRY))
+        raise ProtocolError(
+            f"unknown decoder kind {shard.decoder!r}; known: {known}"
+        )
+    if shard.distance > MAX_DISTANCE:
+        raise ProtocolError(
+            f"distance {shard.distance} exceeds the service cap "
+            f"{MAX_DISTANCE}"
+        )
+    return shard
+
+
+def _admitted_syndromes(shard: ShardKey, obj: dict, n_syndromes) -> np.ndarray:
+    """Unpack + validate a bitmap; ``n_syndromes(shard)`` is its width."""
+    syndromes = unpack_bitmap(obj)
+    if syndromes.ndim != 2:
+        raise ProtocolError(
+            f"syndromes must be 2-D (shots, bits), got {syndromes.shape}"
+        )
+    expected = n_syndromes(shard)
+    if syndromes.shape[1] != expected:
+        raise ProtocolError(
+            f"shard {shard.wire()} wants {expected} syndrome bits per "
+            f"shot, got {syndromes.shape[1]}"
+        )
+    if syndromes.shape[0] == 0:
+        raise ProtocolError("empty decode request (0 shots)")
+    return syndromes
+
+
+def _admitted_tenant(message: dict) -> tuple:
+    """Parse + validate a message's tenant label and priority.
+
+    Both create server-side state (telemetry, buckets, queues), so
+    bogus values fail as protocol errors instead of leaking keys.
+    """
+    tenant = message.get("tenant", "default")
+    if (not isinstance(tenant, str) or not tenant
+            or len(tenant) > MAX_TENANT_CHARS):
+        raise ProtocolError(
+            "'tenant' must be a non-empty string of at most "
+            f"{MAX_TENANT_CHARS} chars"
+        )
+    priority = message.get("priority", 0)
+    if (not isinstance(priority, int) or isinstance(priority, bool)
+            or abs(priority) > PRIORITY_BAND):
+        raise ProtocolError(
+            f"'priority' must be an integer in "
+            f"[-{PRIORITY_BAND}, {PRIORITY_BAND}]"
+        )
+    return tenant, priority
+
+
+def _admitted_deadline(message: dict) -> Optional[float]:
+    deadline_us = message.get("deadline_us")
+    if deadline_us is None:
+        return None
+    if isinstance(deadline_us, bool) or not isinstance(
+            deadline_us, (int, float)):
+        raise ProtocolError("'deadline_us' must be a number")
+    return float(deadline_us)
+
+
 class DecodeService:
     """Decode-as-a-service endpoint over any framed transport."""
 
@@ -230,75 +302,6 @@ class DecodeService:
             if self._inflight_requests == 0:
                 self._idle.set()
 
-    def _admitted_shard(self, message: dict) -> ShardKey:
-        """Parse + admission-validate a message's shard key.
-
-        Every unique shard key creates state (lattice cache, worker
-        task, telemetry), so bogus kinds must fail here, not as an
-        opaque decode error after the leak.
-        """
-        shard = ShardKey.parse(message.get("shard", ""))
-        if shard.decoder not in DECODER_REGISTRY:
-            known = ", ".join(sorted(DECODER_REGISTRY))
-            raise ProtocolError(
-                f"unknown decoder kind {shard.decoder!r}; known: {known}"
-            )
-        if shard.distance > MAX_DISTANCE:
-            raise ProtocolError(
-                f"distance {shard.distance} exceeds the service cap "
-                f"{MAX_DISTANCE}"
-            )
-        return shard
-
-    def _admitted_syndromes(self, shard: ShardKey, obj: dict) -> np.ndarray:
-        syndromes = unpack_bitmap(obj)
-        if syndromes.ndim != 2:
-            raise ProtocolError(
-                f"syndromes must be 2-D (shots, bits), got {syndromes.shape}"
-            )
-        expected = self.pool.n_syndromes(shard)
-        if syndromes.shape[1] != expected:
-            raise ProtocolError(
-                f"shard {shard.wire()} wants {expected} syndrome bits per "
-                f"shot, got {syndromes.shape[1]}"
-            )
-        if syndromes.shape[0] == 0:
-            raise ProtocolError("empty decode request (0 shots)")
-        return syndromes
-
-    @staticmethod
-    def _admitted_tenant(message: dict) -> tuple:
-        """Parse + validate a message's tenant label and priority.
-
-        Both create server-side state (telemetry, buckets, queues), so
-        bogus values fail as protocol errors instead of leaking keys.
-        """
-        tenant = message.get("tenant", "default")
-        if (not isinstance(tenant, str) or not tenant
-                or len(tenant) > MAX_TENANT_CHARS):
-            raise ProtocolError(
-                "'tenant' must be a non-empty string of at most "
-                f"{MAX_TENANT_CHARS} chars"
-            )
-        priority = message.get("priority", 0)
-        if (not isinstance(priority, int) or isinstance(priority, bool)
-                or abs(priority) > PRIORITY_BAND):
-            raise ProtocolError(
-                f"'priority' must be an integer in "
-                f"[-{PRIORITY_BAND}, {PRIORITY_BAND}]"
-            )
-        return tenant, priority
-
-    @staticmethod
-    def _admitted_deadline(message: dict) -> Optional[float]:
-        deadline_us = message.get("deadline_us")
-        if deadline_us is None:
-            return None
-        if isinstance(deadline_us, bool) or not isinstance(
-                deadline_us, (int, float)):
-            raise ProtocolError("'deadline_us' must be a number")
-        return float(deadline_us)
-
     async def _dispatch(self, message: dict) -> dict:
         kind = message.get("type")
         request_id = message.get("id")
@@ -322,11 +325,11 @@ class DecodeService:
                 request_id, "draining",
                 self.policy.default_retry_after_us, 0,
             )
-        shard = self._admitted_shard(message)
-        tenant, priority = self._admitted_tenant(message)
-        deadline_us = self._admitted_deadline(message)
-        syndromes = self._admitted_syndromes(
-            shard, message.get("syndromes", {})
+        shard = _admitted_shard(message)
+        tenant, priority = _admitted_tenant(message)
+        deadline_us = _admitted_deadline(message)
+        syndromes = _admitted_syndromes(
+            shard, message.get("syndromes", {}), self.pool.n_syndromes
         )
         if self.admission is not None:
             wait_us = self.admission.admit(tenant, syndromes.shape[0])
@@ -365,7 +368,7 @@ class DecodeService:
         request_id = message.get("id")
         if not isinstance(request_id, int):
             raise ProtocolError("handoff_extract needs an integer 'id'")
-        shard = self._admitted_shard(message)
+        shard = _admitted_shard(message)
         extracted = self._ensure_batcher().extract_queued(shard)
         entries = [
             handoff_entry(rid, syndromes, deadline_us)
@@ -390,7 +393,7 @@ class DecodeService:
                 request_id, "draining",
                 self.policy.default_retry_after_us, 0,
             )
-        shard = self._admitted_shard(message)
+        shard = _admitted_shard(message)
         raw_entries = message.get("entries", [])
         if not isinstance(raw_entries, list):
             raise ProtocolError("handoff 'entries' must be a list")
@@ -400,7 +403,8 @@ class DecodeService:
                 raise ProtocolError("handoff entry needs a 'rid'")
             parsed.append((
                 int(entry["rid"]),
-                self._admitted_syndromes(shard, entry.get("syndromes", {})),
+                _admitted_syndromes(shard, entry.get("syndromes", {}),
+                                    self.pool.n_syndromes),
                 entry.get("deadline_us"),
             ))
         batcher = self._ensure_batcher()

@@ -11,6 +11,7 @@ locking is required.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Dict, Optional
 
 import numpy as np
@@ -100,6 +101,11 @@ SHED_CAUSES = ("quota", "deadline", "backpressure", "too_large",
                "draining", "migrated")
 
 
+def _by_cause(shed: Dict[str, int]) -> Dict[str, int]:
+    """A shed ledger in ``SHED_CAUSES`` order, unseen causes omitted."""
+    return {cause: shed[cause] for cause in SHED_CAUSES if cause in shed}
+
+
 class ShardTelemetry:
     """Counters/gauges/histograms for one geometry shard."""
 
@@ -109,13 +115,14 @@ class ShardTelemetry:
         self.requests = 0
         self.shots_received = 0
         self.shots_decoded = 0
-        self.shots_rejected = 0
+        #: in-queue expiries — a subset of ``shed_by_cause["deadline"]``,
+        #: which also counts requests already expired at admission
         self.shots_expired = 0
         self.shots_failed = 0
-        #: shots extracted queued-but-undecoded by a live migration
-        self.shots_migrated = 0
-        #: every shed shot broken down by cause (see ``SHED_CAUSES``)
-        self.shed_by_cause: Dict[str, int] = {}
+        #: every shed shot broken down by cause (see ``SHED_CAUSES``) —
+        #: the one shed ledger; ``migrated`` counts shots extracted
+        #: queued-but-undecoded by a live migration
+        self.shed_by_cause: Counter = Counter()
         #: decoded shots by the tier that actually ran (brownout makes
         #: the requested and active decoder differ; the accuracy cost
         #: must be visible, never silent)
@@ -147,14 +154,11 @@ class ShardTelemetry:
 
     def on_reject(self, shots: int, cause: str = "backpressure") -> None:
         self.requests += 1
-        self.shots_rejected += shots
-        self.shed_by_cause[cause] = self.shed_by_cause.get(cause, 0) + shots
+        self.shed_by_cause[cause] += shots
 
     def on_expire(self, shots: int) -> None:
         self.shots_expired += shots
-        self.shed_by_cause["deadline"] = (
-            self.shed_by_cause.get("deadline", 0) + shots
-        )
+        self.shed_by_cause["deadline"] += shots
         self.queue_depth = max(0, self.queue_depth - shots)
 
     def on_error(self, shots: int) -> None:
@@ -162,10 +166,7 @@ class ShardTelemetry:
         self.queue_depth = max(0, self.queue_depth - shots)
 
     def on_migrate(self, shots: int) -> None:
-        self.shots_migrated += shots
-        self.shed_by_cause["migrated"] = (
-            self.shed_by_cause.get("migrated", 0) + shots
-        )
+        self.shed_by_cause["migrated"] += shots
         self.queue_depth = max(0, self.queue_depth - shots)
 
     def on_decoded_dead(self, shots: int) -> None:
@@ -208,19 +209,22 @@ class ShardTelemetry:
     def snapshot(self) -> dict:
         elapsed = max(time.monotonic() - self.started_at, 1e-9)
         f = self.f_ratio
+        migrated = self.shed_by_cause["migrated"]
         return {
             "shard": self.shard,
             "requests": self.requests,
             "shots_received": self.shots_received,
             "shots_decoded": self.shots_decoded,
-            "shots_rejected": self.shots_rejected,
+            # rejected at admission = everything shed minus in-queue
+            # expiries and migration extractions
+            "shots_rejected": (
+                sum(self.shed_by_cause.values())
+                - self.shots_expired - migrated
+            ),
             "shots_expired": self.shots_expired,
             "shots_failed": self.shots_failed,
-            "shots_migrated": self.shots_migrated,
-            "shed_by_cause": {
-                cause: self.shed_by_cause[cause]
-                for cause in SHED_CAUSES if cause in self.shed_by_cause
-            },
+            "shots_migrated": migrated,
+            "shed_by_cause": _by_cause(self.shed_by_cause),
             "decoded_by_tier": dict(sorted(self.decoded_by_tier.items())),
             "decoded_dead": self.decoded_dead,
             "batches": self.batches,
@@ -247,7 +251,7 @@ class TenantTelemetry:
         self.requests = 0
         self.shots_received = 0
         self.shots_decoded = 0
-        self.shed_by_cause: Dict[str, int] = {}
+        self.shed_by_cause: Counter = Counter()
 
     def on_enqueue(self, shots: int) -> None:
         self.requests += 1
@@ -258,17 +262,14 @@ class TenantTelemetry:
 
     def on_shed(self, shots: int, cause: str) -> None:
         self.requests += 1
-        self.shed_by_cause[cause] = self.shed_by_cause.get(cause, 0) + shots
+        self.shed_by_cause[cause] += shots
 
     def snapshot(self) -> dict:
         return {
             "requests": self.requests,
             "shots_received": self.shots_received,
             "shots_decoded": self.shots_decoded,
-            "shed_by_cause": {
-                cause: self.shed_by_cause[cause]
-                for cause in SHED_CAUSES if cause in self.shed_by_cause
-            },
+            "shed_by_cause": _by_cause(self.shed_by_cause),
         }
 
 
@@ -302,10 +303,9 @@ class ServiceTelemetry:
 
     def snapshot(self) -> dict:
         shards = {k: s.snapshot() for k, s in sorted(self._shards.items())}
-        shed_by_cause: Dict[str, int] = {}
+        shed_by_cause: Counter = Counter()
         for s in shards.values():
-            for cause, shots in s["shed_by_cause"].items():
-                shed_by_cause[cause] = shed_by_cause.get(cause, 0) + shots
+            shed_by_cause.update(s["shed_by_cause"])
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "connections": self.connections,
@@ -324,10 +324,7 @@ class ServiceTelemetry:
                 "decoded_dead": sum(
                     s["decoded_dead"] for s in shards.values()
                 ),
-                "shed_by_cause": {
-                    cause: shed_by_cause[cause]
-                    for cause in SHED_CAUSES if cause in shed_by_cause
-                },
+                "shed_by_cause": _by_cause(shed_by_cause),
             },
             "tenants": {
                 k: t.snapshot() for k, t in sorted(self._tenants.items())

@@ -23,7 +23,9 @@ from repro.service import (
     ShardKey,
 )
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.service.client import DecodeOutcome
 from repro.service.cluster import ClusterPolicy, DecodeCluster
+from repro.service.protocol import MemoryTransport, reject_reply
 
 from test_service import direct_batch, make_syndromes
 
@@ -45,10 +47,6 @@ class TestBreakerStateMachine:
             BreakerPolicy(failure_threshold=0)
         with pytest.raises(ValueError):
             BreakerPolicy(cooldown_s=-1)
-        with pytest.raises(ValueError):
-            BreakerPolicy(half_open_probes=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(success_threshold=0)
 
     def test_trips_after_consecutive_failures_only(self):
         breaker = CircuitBreaker(
@@ -69,8 +67,7 @@ class TestBreakerStateMachine:
     def test_cooldown_then_half_open_probe_budget(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_s=1.0,
-                          half_open_probes=1, success_threshold=2),
+            BreakerPolicy(failure_threshold=1, cooldown_s=1.0),
             clock=clock,
         )
         breaker.record_failure()
@@ -104,8 +101,7 @@ class TestBreakerStateMachine:
     def test_would_allow_is_non_mutating(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_s=1.0,
-                          half_open_probes=1),
+            BreakerPolicy(failure_threshold=1, cooldown_s=1.0),
             clock=clock,
         )
         breaker.record_failure()
@@ -121,6 +117,24 @@ class TestBreakerStateMachine:
         assert breaker.state == HALF_OPEN
         assert not breaker.would_allow()        # probe slot now in use
         assert breaker.fast_fails == 0
+
+    @pytest.mark.parametrize("reason,counts", [
+        ("ok", "success"), ("migrated", "success"),
+        ("backpressure", "failure"), ("quota", "failure"),
+        ("deadline", "failure"), ("draining", "failure"),
+        ("error", "failure"), ("too_large", None),
+    ])
+    def test_one_outcome_rule(self, reason, counts):
+        """``record(outcome)`` is the one rule both the router and the
+        retrying client use to count a reply toward the trip."""
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3))
+        breaker.record_failure()
+        outcome = (DecodeOutcome(ok=True) if reason == "ok"
+                   else DecodeOutcome(ok=False, reason=reason))
+        breaker.record(outcome)
+        assert breaker.snapshot()["consecutive_failures"] == {
+            "success": 0, "failure": 2, None: 1,
+        }[counts]
 
     def test_snapshot(self):
         breaker = CircuitBreaker(BreakerPolicy(failure_threshold=2))
@@ -224,6 +238,36 @@ class TestRetryStormGuard:
         assert sum(attempts) / len(attempts) <= 2.0
         assert breaker.state == OPEN
 
+    def test_migrated_reply_does_not_open_a_client_breaker(self):
+        """A ``migrated`` rejection means the shard moved, not that the
+        target is sick: the client counts it like the router does."""
+        async def scenario():
+            client_end, server_end = MemoryTransport.pair()
+            client = DecodeClient(client_end)
+
+            async def migrating_server():
+                message = await server_end.recv()
+                await server_end.send(
+                    reject_reply(message["id"], "migrated", 0.0, 0)
+                )
+
+            server = asyncio.ensure_future(migrating_server())
+            breaker = CircuitBreaker(
+                BreakerPolicy(failure_threshold=1, cooldown_s=60.0)
+            )
+            outcome = await client.decode_with_retry(
+                ShardKey("greedy", 3, "z"),
+                make_syndromes(3, "z", 1, seed=47),
+                policy=RetryPolicy(max_attempts=1), breaker=breaker,
+            )
+            await server
+            await client.close()
+            return outcome, breaker
+
+        outcome, breaker = asyncio.run(scenario())
+        assert outcome.reason == "migrated"
+        assert breaker.state == CLOSED
+
 
 class TestRouterBreaker:
     def test_open_breaker_stops_dialing_a_sick_replica(self):
@@ -294,3 +338,30 @@ class TestRouterBreaker:
         assert outcome.ok and outcome.metadata["fallback"] is True
         assert stats["fallback_decodes"] >= 1
         assert np.array_equal(outcome.corrections, expected.corrections)
+
+    def test_revive_closes_an_open_breaker(self):
+        """A revived replica is dispatchable again: revive forgets the
+        breaker's failure history along with the heartbeat misses."""
+        shard = ShardKey("unionfind", 3, "z")
+
+        async def scenario():
+            cluster = DecodeCluster(
+                n_replicas=1,
+                policy=ClusterPolicy(
+                    breaker=BreakerPolicy(failure_threshold=1,
+                                          cooldown_s=60.0),
+                ),
+                seed=0,
+            )
+            replica = cluster.replicas[0]
+            replica.breaker.record_failure()
+            replica.mark_down()
+            cluster._retire_from_ring(replica.name)
+            cluster.revive(replica.name)
+            picked = cluster._pick(shard)
+            await cluster.close()
+            return replica, picked
+
+        replica, picked = asyncio.run(scenario())
+        assert replica.state == "up" and replica.breaker.state == CLOSED
+        assert picked is replica

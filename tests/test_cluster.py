@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.service import (
+    BreakerPolicy,
+    DecodeOutcome,
     DecodeService,
     RetryPolicy,
     ShardKey,
@@ -29,7 +31,9 @@ from repro.service.cluster import (
     Replica,
     stable_hash,
 )
-from repro.service.protocol import MemoryTransport
+from repro.service.cluster.replica import MISSES_DOWN, RECOVERY_PINGS
+from repro.service.protocol import MemoryTransport, decode_request, pack_bitmap
+from repro.service.server import MAX_DISTANCE
 
 from test_service import direct_batch, make_syndromes
 
@@ -260,6 +264,31 @@ class TestReplica:
         assert replica.state == "up"
         replica.mark_down()
         assert replica.state == "down" and not replica.available
+
+    def test_health_events_report_ring_transitions(self):
+        replica = Replica(
+            "r", service=DecodeService(),
+            breaker=BreakerPolicy(failure_threshold=MISSES_DOWN,
+                                  cooldown_s=60.0),
+        )
+        assert not replica.record(DecodeOutcome(ok=True))
+        assert replica.served == 1 and replica.dispatchable
+        for _ in range(MISSES_DOWN - 1):
+            assert not replica.record_timeout()
+        assert replica.state == "suspect" and replica.dispatchable
+        assert replica.record_timeout()         # the miss that confirms
+        assert replica.state == "down" and not replica.dispatchable
+        assert replica.breaker.state == "open"
+        replica.reset("suspect")                # a restarted process
+        assert replica.breaker.state == "closed"
+        assert replica.heartbeat_misses == 0 and replica.dispatchable
+        transitions = [replica.record_ping(True)
+                       for _ in range(RECOVERY_PINGS)]
+        assert transitions == [None] * (RECOVERY_PINGS - 1) + ["up"]
+        assert replica.record_ping(True) == "up"
+        pings = [replica.record_ping(False) for _ in range(MISSES_DOWN)]
+        assert pings == [None] * (MISSES_DOWN - 1) + ["down"]
+        assert replica.record_dead() and replica.failed == MISSES_DOWN + 1
 
 
 # ----------------------------------------------------------------------
@@ -583,22 +612,47 @@ class TestClusterFrontend:
         assert np.array_equal(outcome.corrections, expected.corrections)
         assert stats["requests"] >= 1 and latency >= 0
 
-    def test_frontend_validates_like_a_server(self):
+    @pytest.mark.parametrize("case", [
+        "unknown_decoder", "distance_over_cap", "wrong_width",
+        "one_d_syndromes", "zero_shots",
+    ])
+    def test_frontend_validates_like_a_server(self, case):
+        """The frontend runs the server's own admission checks: a bad
+        request gets the identical error text from either."""
+        width = make_syndromes(3, "z", 1, seed=38).shape[1]
+        shard, syndromes = {
+            "unknown_decoder": (ShardKey("nope", 3, "z"),
+                                np.zeros((2, width))),
+            "distance_over_cap": (ShardKey("unionfind", MAX_DISTANCE + 2),
+                                  np.zeros((2, width))),
+            "wrong_width": (SHARD, np.zeros((2, 3))),
+            "one_d_syndromes": (SHARD, np.zeros(width)),
+            "zero_shots": (SHARD, np.zeros((0, width))),
+        }[case]
+        message = decode_request(1, shard, np.zeros((1, width)))
+        message["syndromes"] = pack_bitmap(syndromes)
+
+        async def reply_of(transport):
+            await transport.send(dict(message))
+            reply = await transport.recv()
+            await transport.close()
+            return reply
+
         async def scenario():
+            service = DecodeService()
+            served = await reply_of(service.connect())
             cluster = DecodeCluster(n_replicas=1, policy=fast_policy(),
                                     seed=0)
             frontend = ClusterFrontend(cluster)
-            client = frontend.connect_client()
-            wrong_width = np.zeros((2, 3), dtype=np.uint8)
-            outcome = await client.decode(SHARD, wrong_width)
-            await client.close()
+            fronted = await reply_of(frontend.connect())
             await frontend.close()
             await cluster.close()
-            return outcome
+            await service.close()
+            return served, fronted
 
-        outcome = asyncio.run(scenario())
-        assert not outcome.ok and outcome.reason == "error"
-        assert "syndrome bits" in outcome.error
+        served, fronted = asyncio.run(scenario())
+        assert served["type"] == fronted["type"] == "error"
+        assert fronted["message"] == served["message"]
 
     def test_frontend_over_tcp(self):
         syndromes = make_syndromes(3, "z", 6, seed=40)
@@ -704,25 +758,25 @@ class TestFlapDamping:
     def test_suspect_needs_consecutive_ping_streak(self):
         replica = Replica("r", service=DecodeService())
         replica.mark_suspect()
-        replica.on_ping_ok(3)
-        replica.on_ping_ok(3)
+        replica.on_ping_ok()
+        replica.on_ping_ok()
         assert replica.state == "suspect"       # 2 of 3: not yet
-        replica.on_ping_ok(3)
+        replica.on_ping_ok()
         assert replica.state == "up"
 
     def test_miss_resets_the_streak(self):
         replica = Replica("r", service=DecodeService())
         replica.mark_suspect()
-        replica.on_ping_ok(3)
-        replica.on_ping_ok(3)
+        replica.on_ping_ok()
+        replica.on_ping_ok()
         replica.mark_suspect()                  # a miss mid-recovery
         assert replica.recovery_streak == 0
-        replica.on_ping_ok(3)
+        replica.on_ping_ok()
         assert replica.state == "suspect"       # streak restarts at 1
 
     def test_up_replica_ignores_streak_bookkeeping(self):
         replica = Replica("r", service=DecodeService())
-        replica.on_ping_ok(3)
+        replica.on_ping_ok()
         assert replica.state == "up" and replica.recovery_streak == 0
 
     def test_dispatch_prefers_up_over_suspect(self):
@@ -748,11 +802,11 @@ class TestFlapDamping:
 
     def test_heartbeat_loop_promotes_after_streak(self):
         """End to end: a suspect earns its way back to ``up`` (and into
-        the ring) after ``recovery_pings`` healthy heartbeats."""
+        the ring) after ``RECOVERY_PINGS`` healthy heartbeats."""
         async def scenario():
             cluster = DecodeCluster(
                 n_replicas=2,
-                policy=fast_policy(recovery_pings=2), seed=0,
+                policy=fast_policy(), seed=0,
             )
             await cluster.start()
             victim = cluster.replicas[0]

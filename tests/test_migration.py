@@ -85,8 +85,6 @@ class TestShardMigrationValidation:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            ClusterPolicy(recovery_pings=0)
-        with pytest.raises(ValueError):
             ClusterPolicy(migration_catchup_s=-0.1)
 
 
