@@ -11,6 +11,19 @@ import numpy as np
 from ..surface.lattice import SurfaceLattice
 from .geometry import Coord, MatchingGeometry, PairTarget
 
+#: Entry cap of the cross-call component memos (``MWPMDecoder._match_memo``,
+#: ``UnionFindDecoder._peel_memo``).  Decoders live as long as the service
+#: that holds them, so a memo that reaches the cap is cleared rather than
+#: left to grow; one d=9 ``serve_bulk`` pass fills about 20k entries.
+MEMO_MAX_ENTRIES = 1 << 16
+
+
+def remember(memo: dict, key, value) -> None:
+    """Store ``memo[key] = value``, first clearing a memo at the cap."""
+    if len(memo) >= MEMO_MAX_ENTRIES:
+        memo.clear()
+    memo[key] = value
+
 
 @dataclass
 class BatchDecodeResult:

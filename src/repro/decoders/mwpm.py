@@ -12,27 +12,34 @@ Two engines share the decoder:
   reference; its per-shot graph build now reads the distances cached on
   :class:`~repro.decoders.geometry.MatchingGeometry` instead of
   recomputing them per call.
-* ``engine="fast"`` (default) — per-shot matching on the reduced hot-set
-  only: a pair ``(i, j)`` with ``d_ij >= bd_i + bd_j`` can always be
-  replaced by two boundary matches at no extra cost, so the optimal
-  matching decomposes over connected components of the "useful pair"
-  graph (split with :func:`scipy.sparse.csgraph.connected_components`).
-  Each component is solved exactly — a bitmask dynamic program for small
-  instances, the blossom reference for rare large ones — and corrections
-  come from the precomputed path tables.  The fast engine is
-  weight-optimal like the reference (golden-tested) but may select a
-  different equal-weight matching on ties; within an engine,
-  ``decode_batch`` is bit-identical to ``decode``.
+* ``engine="fast"`` (default) — matching on the reduced hot set, split
+  for the whole batch at once.  A pair ``(i, j)`` with
+  ``d_ij >= bd_i + bd_j`` can always be replaced by two boundary matches
+  at no extra cost, so the optimal matching decomposes over connected
+  components of the "useful pair" graph.  ``decode_batch`` builds that
+  graph over (shot, hot) nodes and labels it with one
+  :func:`scipy.sparse.csgraph.connected_components` call.  The two
+  common sizes are resolved in numpy: a singleton matches its nearest
+  boundary, and a 2-node component matches its one useful pair (which
+  is always optimal).  Only components of three or more hots reach
+  Python, where each is solved exactly — a bitmask dynamic program for
+  small instances, LAP branch and bound above that, the blossom
+  reference if the bound's node budget runs out — and memoized on its
+  hot indices.  Corrections are XORed in from the precomputed path
+  tables in one scatter.  ``decode`` runs the same split on one row.
+  The fast engine is weight-optimal like the reference (golden-tested)
+  but may select a different equal-weight matching on ties; within an
+  engine, ``decode_batch`` is bit-identical to ``decode``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
-from .base import BatchDecodeResult, DecodeResult, Decoder
+from .base import BatchDecodeResult, DecodeResult, Decoder, remember
 from .geometry import NORTH, SOUTH, Coord, PairTarget
 
 #: components up to this size are solved by the O(2^n n) bitmask DP
@@ -42,6 +49,10 @@ _DP_MAX = 8
 _BNB_NODE_CAP = 600
 
 _ENGINES = ("fast", "reference")
+
+#: one component solution: (hot-hot pairs, boundary-matched hots), all
+#: as global syndrome indices
+_Solution = Tuple[List[Tuple[int, int]], List[int]]
 
 
 class MWPMDecoder(Decoder):
@@ -58,7 +69,7 @@ class MWPMDecoder(Decoder):
             )
         self.engine = engine
         #: per-component matching memo (hot components recur across shots)
-        self._match_memo: Dict[Tuple[int, ...], Tuple] = {}
+        self._match_memo: Dict[Tuple[int, ...], _Solution] = {}
 
     def decode(self, syndrome: np.ndarray) -> DecodeResult:
         syndrome = self._check_syndrome(syndrome)
@@ -67,120 +78,176 @@ class MWPMDecoder(Decoder):
             pairs = mwpm_pairs(self.geometry, hots)
             correction = self.geometry.correction_from_pairs(pairs)
             return DecodeResult(correction=correction, pairs=pairs)
-        hot_idx = np.flatnonzero(syndrome)
-        pair_idx, bd_idx = _solve_hot_set(
-            self.geometry, hot_idx, self._match_memo
-        )
+        match = _match_batch(self.geometry, syndrome[None, :],
+                             self._match_memo)
         return DecodeResult(
-            correction=_correction_from_indices(
-                self.geometry, pair_idx, bd_idx
+            correction=_corrections(self.geometry, 1, match)[0],
+            pairs=_pairs_from_indices(
+                self.geometry,
+                zip(match.pair_i.tolist(), match.pair_j.tolist()),
+                match.bd_i.tolist(),
             ),
-            pairs=_pairs_from_indices(self.geometry, pair_idx, bd_idx),
         )
 
     def decode_batch(self, syndromes: np.ndarray) -> BatchDecodeResult:
-        """Batched matching on the cached reduced-hot-set arrays."""
+        """One component split over the whole batch (see module doc)."""
         if self.engine == "reference":
             return super().decode_batch(syndromes)
         syndromes = self._check_syndrome_batch(syndromes)
-        geo = self.geometry
-        corrections = np.zeros(
-            (syndromes.shape[0], self.lattice.n_data), dtype=np.uint8
-        )
-        for shot, syn in enumerate(syndromes):
-            hot_idx = np.flatnonzero(syn)
-            if len(hot_idx) == 0:
-                continue
-            pair_idx, bd_idx = _solve_hot_set(geo, hot_idx, self._match_memo)
-            corrections[shot] = _correction_from_indices(
-                geo, pair_idx, bd_idx
-            )
+        batch = syndromes.shape[0]
+        match = _match_batch(self.geometry, syndromes, self._match_memo)
         return BatchDecodeResult(
-            corrections=corrections,
-            converged=np.ones(syndromes.shape[0], dtype=bool),
+            corrections=_corrections(self.geometry, batch, match),
+            converged=np.ones(batch, dtype=bool),
         )
 
 
 # ----------------------------------------------------------------------
-# Fast engine: component split + exact small-instance solvers
+# Fast engine: batched component split + exact small-instance solvers
 # ----------------------------------------------------------------------
-def _solve_hot_set(
-    geometry, hot_idx: np.ndarray, memo: Dict[Tuple[int, ...], Tuple]
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Exact minimum-weight matching over syndrome indices.
+class _Matching(NamedTuple):
+    """A batch's matching as flat arrays of global syndrome indices."""
 
-    Returns (hot-hot pairs, boundary-matched hots), all as global
-    syndrome indices.  Solutions are memoized per connected component of
-    the useful-pair graph, keyed by the component's hot indices — local
-    hot clusters recur constantly across Monte-Carlo shots.
+    pair_shot: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    bd_shot: np.ndarray
+    bd_i: np.ndarray
+
+
+def _match_batch(
+    geometry, syndromes: np.ndarray, memo: Dict[Tuple[int, ...], _Solution]
+) -> _Matching:
+    """Exact minimum-weight matching of every shot of a syndrome batch.
+
+    Nodes are the (shot, hot) positions of ``syndromes``; an edge joins
+    two hots of one shot when their pair is useful
+    (``d_ij < bd_i + bd_j``).  Any other pair is never needed by some
+    optimal matching, so each connected component solves independently.
+    Components of three or more hots are solved by
+    :func:`_solve_component` with members in ascending hot order.
     """
-    h = len(hot_idx)
-    if h == 0:
-        return [], []
+    shots, hots = np.nonzero(syndromes)
+    n = len(hots)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Matching(empty, empty, empty, empty, empty)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     _, near = geometry.nearest_boundary_arrays
-    bd = near[hot_idx]
-    if h == 1:
-        return [], [int(hot_idx[0])]
-    dist = geometry.distance_matrix[np.ix_(hot_idx, hot_idx)]
-    useful = dist < bd[:, None] + bd[None, :]
-    pair_out: List[Tuple[int, int]] = []
-    bd_out: List[int] = []
-    for members in _components(useful):
-        if len(members) == 1:
-            bd_out.append(int(hot_idx[members[0]]))
-            continue
-        key = tuple(int(hot_idx[m]) for m in members)
-        cached = memo.get(key)
-        if cached is None:
-            sub_d = dist[np.ix_(members, members)]
-            sub_b = bd[members]
-            n = len(members)
-            if n == 2:
-                if int(sub_d[0, 1]) < int(sub_b[0]) + int(sub_b[1]):
-                    prs, bds = [(0, 1)], []
-                else:
-                    prs, bds = [], [0, 1]
-            elif n <= _DP_MAX:
-                prs, bds = _dp_match(sub_d.tolist(), sub_b.tolist())
-            else:
-                prs, bds = _bnb_match(sub_d, sub_b)
-                if prs is None:  # node budget blown: exact blossom
-                    prs, bds = _blossom_match(geometry, hot_idx, members)
-            cached = (
-                [(key[i], key[j]) for i, j in prs],
-                [key[i] for i in bds],
+    # every within-shot node pair a < b: node k pairs with the nodes
+    # after it up to the end of its shot (nonzero is row-major)
+    shot_end = np.cumsum(np.bincount(shots))[shots]
+    later = shot_end - np.arange(n) - 1
+    a = np.repeat(np.arange(n), later)
+    b = (
+        np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        + a + 1
+    )
+    ga, gb = hots[a], hots[b]
+    useful = geometry.distance_matrix[ga, gb] < near[ga] + near[gb]
+    a, b = a[useful], b[useful]
+    graph = sp.coo_matrix(
+        (np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    node_size = np.bincount(labels)[labels]
+
+    single = node_size == 1
+    bd_shot, bd_i = [shots[single]], [hots[single]]
+    two = node_size[a] == 2  # a 2-node component has exactly one edge
+    pair_shot, pair_i, pair_j = [shots[a[two]]], [hots[a[two]]], [hots[b[two]]]
+
+    big = np.flatnonzero(node_size >= 3)
+    if len(big):
+        big = big[np.argsort(labels[big], kind="stable")]
+        cuts = np.flatnonzero(np.diff(labels[big])) + 1
+        big_hots = hots[big].tolist()
+        big_shots = shots[big].tolist()
+        big_pairs: List[Tuple[int, int, int]] = []
+        big_bds: List[Tuple[int, int]] = []
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(big)]):
+            prs, bds = _solve_component(
+                geometry, tuple(big_hots[lo:hi]), memo
             )
-            memo[key] = cached
-        pair_out.extend(cached[0])
-        bd_out.extend(cached[1])
-    return pair_out, bd_out
+            shot = big_shots[lo]
+            big_pairs.extend((shot, i, j) for i, j in prs)
+            big_bds.extend((shot, i) for i in bds)
+        ps, pis, pjs = np.array(big_pairs, dtype=np.int64).reshape(-1, 3).T
+        bs, bis = np.array(big_bds, dtype=np.int64).reshape(-1, 2).T
+        pair_shot.append(ps)
+        pair_i.append(pis)
+        pair_j.append(pjs)
+        bd_shot.append(bs)
+        bd_i.append(bis)
+    return _Matching(
+        np.concatenate(pair_shot), np.concatenate(pair_i),
+        np.concatenate(pair_j), np.concatenate(bd_shot), np.concatenate(bd_i),
+    )
 
 
-def _components(useful: np.ndarray) -> List[List[int]]:
-    """Connected components of the useful-pair graph, smallest-index first.
+def _solve_component(
+    geometry, key: Tuple[int, ...], memo: Dict[Tuple[int, ...], _Solution]
+) -> _Solution:
+    """Exact matching of one component, memoized on its hot indices.
 
-    ``useful[i, j]`` marks pairs with ``d_ij < bd_i + bd_j``; any other
-    pair is never needed by some optimal matching (two boundary matches
-    are at least as good), so components solve independently.
+    ``key`` holds the component's global hot indices in ascending order
+    — local hot clusters recur constantly across shots.
     """
-    h = useful.shape[0]
-    parent = list(range(h))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    idx = np.array(key)
+    sub_d = geometry.distance_matrix[idx][:, idx]
+    sub_b = geometry.nearest_boundary_arrays[1][idx]
+    if len(key) <= _DP_MAX:
+        prs, bds = _dp_match(sub_d.tolist(), sub_b.tolist())
+    else:
+        prs, bds = _bnb_match(sub_d, sub_b)
+        if prs is None:  # node budget blown: exact blossom
+            prs, bds = _blossom_match(geometry, key)
+    cached = ([(key[i], key[j]) for i, j in prs], [key[i] for i in bds])
+    remember(memo, key, cached)
+    return cached
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    ii, jj = np.nonzero(np.triu(useful, 1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    comps: Dict[int, List[int]] = {}
-    for i in range(h):
-        comps.setdefault(find(i), []).append(i)
-    return [comps[k] for k in sorted(comps, key=lambda k: comps[k][0])]
+def _corrections(geometry, batch: int, match: _Matching) -> np.ndarray:
+    """``(batch, n_data)`` corrections of a batch matching."""
+    n_data = geometry.lattice.n_data
+    tables = geometry.correction_tables
+    if tables is not None:
+        pair_table, boundary_table = tables
+        # XOR whole 64-bit words: ``ufunc.at`` costs per element, so
+        # rows padded to a multiple of 8 bytes scatter ~8x faster
+        words = -(-n_data // 8)
+        rows = np.zeros(
+            (len(match.pair_i) + len(match.bd_i), 8 * words), dtype=np.uint8
+        )
+        rows[:, :n_data] = np.concatenate([
+            pair_table[match.pair_i, match.pair_j],
+            boundary_table[match.bd_i],
+        ])
+        acc = np.zeros((batch, words), dtype=np.uint64)
+        np.bitwise_xor.at(
+            acc,
+            np.concatenate([match.pair_shot, match.bd_shot]),
+            rows.view(np.uint64),
+        )
+        return np.ascontiguousarray(acc.view(np.uint8)[:, :n_data])
+    corrections = np.zeros((batch, n_data), dtype=np.uint8)
+    # no tables (large d): walk each shot's paths
+    per_shot: Dict[int, Tuple[list, list]] = {}
+    for shot, i, j in zip(match.pair_shot.tolist(), match.pair_i.tolist(),
+                          match.pair_j.tolist()):
+        per_shot.setdefault(shot, ([], []))[0].append((i, j))
+    for shot, i in zip(match.bd_shot.tolist(), match.bd_i.tolist()):
+        per_shot.setdefault(shot, ([], []))[1].append(i)
+    for shot, (pair_idx, bd_idx) in per_shot.items():
+        corrections[shot] = geometry.correction_from_pairs(
+            _pairs_from_indices(geometry, pair_idx, bd_idx)
+        )
+    return corrections
 
 
 def _greedy_ub(
@@ -188,12 +255,13 @@ def _greedy_ub(
 ) -> Tuple[int, List[Tuple[int, int]], List[int]]:
     """Greedy feasible matching: a tight upper bound seeding the B&B."""
     n = len(bd)
-    options = [(int(bd[i]), i, -1) for i in range(n)]
+    dist, bd = dist.tolist(), bd.tolist()
+    options = [(bd[i], i, -1) for i in range(n)]
     options.extend(
-        (int(dist[i, j]), i, j)
+        (dist[i][j], i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if dist[i, j] < bd[i] + bd[j]
+        if dist[i][j] < bd[i] + bd[j]
     )
     options.sort()
     matched = [False] * n
@@ -245,7 +313,7 @@ def _bnb_match(dist: np.ndarray, bd: np.ndarray):
                 best[1] = list(forced)
                 best[2] = []
             return
-        sub = c[np.ix_(alive, alive)]
+        sub = c[alive][:, alive]
         rows, cols = linear_sum_assignment(sub)
         val = base2 + int(sub[rows, cols].sum())
         if val >= best[0]:
@@ -334,11 +402,11 @@ def _dp_match(
 
 
 def _blossom_match(
-    geometry, hot_idx: np.ndarray, members: List[int]
+    geometry, key: Tuple[int, ...]
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Networkx blossom on one oversized component (exact fallback)."""
     coords = geometry.ancilla_coord_tuples
-    member_coords = [coords[hot_idx[m]] for m in members]
+    member_coords = [coords[k] for k in key]
     back = {c: i for i, c in enumerate(member_coords)}
     pairs: List[Tuple[int, int]] = []
     bds: List[int] = []
@@ -348,21 +416,6 @@ def _blossom_match(
         else:
             pairs.append((back[a], back[b]))
     return pairs, bds
-
-
-def _correction_from_indices(geometry, pair_idx, bd_idx) -> np.ndarray:
-    tables = geometry.correction_tables
-    if tables is not None:
-        pair_table, boundary_table = tables
-        corr = np.zeros(geometry.lattice.n_data, dtype=np.uint8)
-        for i, j in pair_idx:
-            corr ^= pair_table[i, j]
-        for i in bd_idx:
-            corr ^= boundary_table[i]
-        return corr
-    return geometry.correction_from_pairs(
-        _pairs_from_indices(geometry, pair_idx, bd_idx)
-    )
 
 
 def _pairs_from_indices(

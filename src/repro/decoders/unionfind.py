@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 
 import numpy as np
 
-from .base import BatchDecodeResult, DecodeResult, Decoder
+from .base import BatchDecodeResult, DecodeResult, Decoder, remember
 from .geometry import NORTH, SOUTH, Coord
 
 Vertex = Hashable
@@ -268,7 +268,7 @@ class UnionFindDecoder(Decoder):
                 flips = memo.get(key)
                 if flips is None:
                     flips = self._peel_fast(list(edges), set(hots))
-                    memo[key] = flips
+                    remember(memo, key, flips)
                 if flips:
                     shot = ds_o[lo]
                     flip_qs.extend(flips)

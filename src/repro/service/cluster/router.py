@@ -568,7 +568,11 @@ class DecodeCluster:
     # -- background loops ----------------------------------------------
     async def _heartbeat_loop(self) -> None:
         policy = self.policy
-        while True:
+        # ``close()`` sets ``_closed`` before it cancels this task.  On
+        # Python < 3.12 ``asyncio.wait_for`` (inside ``ping``) swallows a
+        # cancellation that lands together with the reply; the flag
+        # still ends the loop then, so ``close()`` cannot hang on it
+        while not self._closed:
             await asyncio.sleep(policy.heartbeat_interval_s)
             for replica in list(self._replicas.values()):
                 if not replica.available:
@@ -587,7 +591,7 @@ class DecodeCluster:
     async def _autoscale_loop(self) -> None:
         autoscale = self.policy.autoscale
         assert autoscale is not None
-        while True:
+        while not self._closed:  # see _heartbeat_loop
             await asyncio.sleep(autoscale.interval_s)
             await self.autoscale_tick()
 

@@ -427,6 +427,42 @@ class TestClusterRouting:
         state, routed = asyncio.run(scenario())
         assert state == "down" and not routed
 
+    def test_close_ends_heartbeat_loop_after_a_swallowed_cancel(
+            self, monkeypatch):
+        """Before Python 3.12, ``asyncio.wait_for`` returns a ping reply
+        that lands together with a cancel instead of raising, so the
+        heartbeat task survives ``close()``'s one cancel; the loop must
+        still end and ``close()`` return."""
+        async def scenario():
+            cluster = DecodeCluster(n_replicas=1, policy=fast_policy(),
+                                    seed=0)
+            replica = cluster.replicas[0]
+            pinging = asyncio.Event()
+            swallowed = []
+
+            async def heartbeat(timeout_s):
+                pinging.set()
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    if swallowed:
+                        raise
+                    swallowed.append(True)   # the reply won the race
+                return 0.0
+
+            monkeypatch.setattr(replica, "heartbeat", heartbeat)
+            await cluster.start()
+            await pinging.wait()
+            closing = asyncio.ensure_future(cluster.close())
+            done, _ = await asyncio.wait({closing}, timeout=2.0)
+            if not done:
+                closing.cancel()
+            return bool(done), bool(swallowed)
+
+        closed, swallowed = asyncio.run(scenario())
+        assert swallowed
+        assert closed, "close() hung on the heartbeat loop"
+
     def test_revive_restores_routing(self):
         async def scenario():
             cluster = DecodeCluster(n_replicas=2, policy=fast_policy(),

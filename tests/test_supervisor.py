@@ -12,6 +12,7 @@ host.  Process-spawning tests are marked ``slow``.
 
 import asyncio
 import signal
+from typing import List
 
 import numpy as np
 import pytest
@@ -42,11 +43,56 @@ def fast_policy(**overrides) -> ClusterPolicy:
     return ClusterPolicy(**defaults)
 
 
-def quick_supervisor(cluster, n=2, **policy_overrides) -> Supervisor:
-    defaults = dict(backoff_base_s=0.05, poll_interval_s=0.05)
-    defaults.update(policy_overrides)
-    return Supervisor(cluster, n_processes=n,
-                      policy=SupervisorPolicy(**defaults))
+#: wall-clock bound on one process scenario: a stall fails the test
+#: with a message instead of hanging the suite
+SCENARIO_TIMEOUT_S = 60.0
+
+
+class ProcessScope:
+    """Spawns a test's replica processes and runs its scenarios bounded."""
+
+    def __init__(self) -> None:
+        self.processes: List[ReplicaProcess] = []
+
+    def supervisor(self, cluster, n=2, **policy_overrides) -> Supervisor:
+        defaults = dict(backoff_base_s=0.05, poll_interval_s=0.05)
+        defaults.update(policy_overrides)
+        supervisor = Supervisor(cluster, n_processes=n,
+                                policy=SupervisorPolicy(**defaults))
+        self.processes.extend(supervisor.processes.values())
+        return supervisor
+
+    def process(self, name: str) -> ReplicaProcess:
+        process = ReplicaProcess(name)
+        self.processes.append(process)
+        return process
+
+    def run(self, scenario):
+        """``asyncio.run`` one scenario under :data:`SCENARIO_TIMEOUT_S`.
+
+        Every process the scenario spawned is stopped before the loop
+        closes, also after a stall: a child left running would keep an
+        executor thread blocked on its stdout and the loop from
+        shutting down.
+        """
+        async def bounded():
+            try:
+                return await asyncio.wait_for(scenario(), SCENARIO_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                raise AssertionError(
+                    f"scenario stalled for more than "
+                    f"{SCENARIO_TIMEOUT_S:.0f} s"
+                ) from None
+            finally:
+                for process in self.processes:
+                    process.stop()
+
+        return asyncio.run(bounded())
+
+
+@pytest.fixture
+def scope() -> ProcessScope:
+    return ProcessScope()
 
 
 class TestSupervisorPolicy:
@@ -78,25 +124,25 @@ class TestSupervisorPolicy:
 
 @pytest.mark.slow
 class TestReplicaProcess:
-    def test_spawn_handshake_and_stop(self):
+    def test_spawn_handshake_and_stop(self, scope):
         async def scenario():
-            process = ReplicaProcess("p0")
+            process = scope.process("p0")
             host, port = await process.spawn(ready_timeout_s=30.0)
             alive = process.alive
             process.stop()
             return host, port, alive, process.alive
 
-        host, port, alive, alive_after = asyncio.run(scenario())
+        host, port, alive, alive_after = scope.run(scenario)
         assert host == "127.0.0.1" and port > 0
         assert alive and not alive_after
 
-    def test_spawned_process_serves_decode(self):
+    def test_spawned_process_serves_decode(self, scope):
         syndromes = make_syndromes(3, "z", 6, seed=80)
         expected = direct_batch("unionfind", 3, "z", syndromes)
 
         async def scenario():
             from repro.service import DecodeClient
-            process = ReplicaProcess("p0")
+            process = scope.process("p0")
             host, port = await process.spawn(ready_timeout_s=30.0)
             client = await DecodeClient.connect_tcp(host, port)
             outcome = await client.decode(SHARD, syndromes)
@@ -104,21 +150,21 @@ class TestReplicaProcess:
             process.stop()
             return outcome
 
-        outcome = asyncio.run(scenario())
+        outcome = scope.run(scenario)
         assert outcome.ok
         assert np.array_equal(outcome.corrections, expected.corrections)
 
 
 @pytest.mark.slow
 class TestSupervisedCluster:
-    def test_supervised_fleet_serves_golden(self):
+    def test_supervised_fleet_serves_golden(self, scope):
         syndromes = make_syndromes(3, "z", 8, seed=81)
         expected = direct_batch("unionfind", 3, "z", syndromes)
 
         async def scenario():
             cluster = DecodeCluster(n_replicas=0, policy=fast_policy(),
                                     seed=0)
-            supervisor = quick_supervisor(cluster, n=2)
+            supervisor = scope.supervisor(cluster, n=2)
             await supervisor.start()
             outcome = await cluster.decode(SHARD, syndromes)
             stats = cluster.stats()
@@ -126,13 +172,13 @@ class TestSupervisedCluster:
             await cluster.close()          # closes the supervisor too
             return outcome, stats, snapshot
 
-        outcome, stats, snapshot = asyncio.run(scenario())
+        outcome, stats, snapshot = scope.run(scenario)
         assert outcome.ok and outcome.metadata["fallback"] is False
         assert np.array_equal(outcome.corrections, expected.corrections)
         assert sorted(stats["replicas"]) == ["p0", "p1"]
         assert all(p["alive"] for p in snapshot["processes"].values())
 
-    def test_sigkill_restarts_and_rejoins(self):
+    def test_sigkill_restarts_and_rejoins(self, scope):
         """The ISSUE acceptance drill, distilled: SIGKILL a process,
         the supervisor restarts it, the router adopts the new address,
         and requests keep decoding golden throughout."""
@@ -142,7 +188,7 @@ class TestSupervisedCluster:
         async def scenario():
             cluster = DecodeCluster(n_replicas=0, policy=fast_policy(),
                                     seed=0)
-            supervisor = quick_supervisor(cluster, n=2)
+            supervisor = scope.supervisor(cluster, n=2)
             await supervisor.start()
             await cluster.decode(SHARD, syndromes)
             old_pid = supervisor.sigkill("p0")
@@ -162,7 +208,7 @@ class TestSupervisedCluster:
             return old_pid, new_pid, restarted, adopted, during, after
 
         old_pid, new_pid, restarted, adopted, during, after = (
-            asyncio.run(scenario())
+            scope.run(scenario)
         )
         assert restarted >= 1 and new_pid != old_pid
         assert adopted[0] >= 1               # router adopted the restart
@@ -171,7 +217,7 @@ class TestSupervisedCluster:
         assert np.array_equal(during.corrections, expected.corrections)
         assert np.array_equal(after.corrections, expected.corrections)
 
-    def test_sigstop_is_invisible_to_liveness_polling(self):
+    def test_sigstop_is_invisible_to_liveness_polling(self, scope):
         """A SIGSTOPped process is alive to the monitor — no restart —
         while the router's heartbeats demote it out of dispatch."""
         syndromes = make_syndromes(3, "z", 4, seed=83)
@@ -179,7 +225,7 @@ class TestSupervisedCluster:
         async def scenario():
             cluster = DecodeCluster(n_replicas=0, policy=fast_policy(),
                                     seed=0)
-            supervisor = quick_supervisor(cluster, n=2)
+            supervisor = scope.supervisor(cluster, n=2)
             await supervisor.start()
             await cluster.start()
             await cluster.decode(SHARD, syndromes)
@@ -198,18 +244,18 @@ class TestSupervisedCluster:
             await cluster.close()
             return state, alive, restarts, outcome
 
-        state, alive, restarts, outcome = asyncio.run(scenario())
+        state, alive, restarts, outcome = scope.run(scenario)
         assert state in ("suspect", "down")
         assert alive is True and restarts == 0
         assert outcome.ok
 
-    def test_flap_budget_gives_up_on_crash_loop(self):
+    def test_flap_budget_gives_up_on_crash_loop(self, scope):
         """A process that can never stay up exhausts max_flaps and is
         left for dead instead of spinning the host."""
         async def scenario():
             cluster = DecodeCluster(n_replicas=0, policy=fast_policy(),
                                     seed=0)
-            supervisor = quick_supervisor(
+            supervisor = scope.supervisor(
                 cluster, n=1, max_flaps=2, flap_window_s=60.0,
                 backoff_base_s=0.0,
             )
@@ -227,7 +273,7 @@ class TestSupervisedCluster:
             await cluster.close()
             return gave_up, spawns
 
-        gave_up, spawns = asyncio.run(scenario())
+        gave_up, spawns = scope.run(scenario)
         assert gave_up is True
         # initial spawn + at most max_flaps restarts
         assert 2 <= spawns <= 3
